@@ -1,11 +1,8 @@
-// Measures the block-scoring fast path against the per-pair path on the two
-// inference surfaces that score many candidates: the full-ranking protocol
-// and Top-N serving. Compare the *PerPair and *Block rows of the same model
-// — the ratio is the batching speedup (one ForwardRows GEMM per
-// kScoreBlockSize candidates for SceneRec, one kernels::Dot sweep for
-// BPR-MF, versus one std::function dispatch + single-row forward per pair).
-// Eval caches are warmed before timing, so the rows measure steady-state
-// scoring, not cache fills. tools/bench.sh records the suite in
+// Measures block scoring on the two inference surfaces that score many
+// candidates: the full-ranking protocol and Top-N serving (one ForwardRows
+// GEMM per kScoreBlockSize candidates for SceneRec, one kernels::Dot sweep
+// for BPR-MF). Eval caches are warmed before timing, so the rows measure
+// steady-state scoring, not cache fills. tools/bench.sh records the suite in
 // BENCH_scoring.json for the bench_diff regression gate.
 
 #include <benchmark/benchmark.h>
@@ -82,19 +79,6 @@ std::unique_ptr<BprMf> WarmBprMf() {
 
 // -- Full-ranking protocol -----------------------------------------------------
 
-void BM_FullRankingSceneRecPerPair(benchmark::State& state) {
-  const BenchData& data = Data();
-  auto model = WarmSceneRec();
-  for (auto _ : state) {
-    RankingMetrics metrics = EvaluateFullRanking(
-        model->Scorer(), data.graph, data.split.test, 10);
-    benchmark::DoNotOptimize(metrics.ndcg);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(data.split.test.size()));
-}
-BENCHMARK(BM_FullRankingSceneRecPerPair)->Unit(benchmark::kMillisecond);
-
 void BM_FullRankingSceneRecBlock(benchmark::State& state) {
   const BenchData& data = Data();
   auto model = WarmSceneRec();
@@ -107,19 +91,6 @@ void BM_FullRankingSceneRecBlock(benchmark::State& state) {
                           static_cast<int64_t>(data.split.test.size()));
 }
 BENCHMARK(BM_FullRankingSceneRecBlock)->Unit(benchmark::kMillisecond);
-
-void BM_FullRankingBprMfPerPair(benchmark::State& state) {
-  const BenchData& data = Data();
-  auto model = WarmBprMf();
-  for (auto _ : state) {
-    RankingMetrics metrics = EvaluateFullRanking(
-        model->Scorer(), data.graph, data.split.test, 10);
-    benchmark::DoNotOptimize(metrics.ndcg);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(data.split.test.size()));
-}
-BENCHMARK(BM_FullRankingBprMfPerPair)->Unit(benchmark::kMillisecond);
 
 void BM_FullRankingBprMfBlock(benchmark::State& state) {
   const BenchData& data = Data();
@@ -136,19 +107,6 @@ BENCHMARK(BM_FullRankingBprMfBlock)->Unit(benchmark::kMillisecond);
 
 // -- Top-N serving -------------------------------------------------------------
 
-void BM_TopNSceneRecPerPair(benchmark::State& state) {
-  const BenchData& data = Data();
-  auto model = WarmSceneRec();
-  int64_t user = 0;
-  for (auto _ : state) {
-    auto recs = TopNRecommendations(model->Scorer(), data.graph, user, 10);
-    benchmark::DoNotOptimize(recs.data());
-    user = (user + 1) % data.dataset.num_users;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TopNSceneRecPerPair)->Unit(benchmark::kMicrosecond);
-
 void BM_TopNSceneRecBlock(benchmark::State& state) {
   const BenchData& data = Data();
   auto model = WarmSceneRec();
@@ -161,19 +119,6 @@ void BM_TopNSceneRecBlock(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TopNSceneRecBlock)->Unit(benchmark::kMicrosecond);
-
-void BM_TopNBprMfPerPair(benchmark::State& state) {
-  const BenchData& data = Data();
-  auto model = WarmBprMf();
-  int64_t user = 0;
-  for (auto _ : state) {
-    auto recs = TopNRecommendations(model->Scorer(), data.graph, user, 10);
-    benchmark::DoNotOptimize(recs.data());
-    user = (user + 1) % data.dataset.num_users;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TopNBprMfPerPair)->Unit(benchmark::kMicrosecond);
 
 void BM_TopNBprMfBlock(benchmark::State& state) {
   const BenchData& data = Data();

@@ -159,7 +159,6 @@ BenchData& Data() {
     // Random-init parameters: serving cost does not depend on training, and
     // bitwise identity is about paths, not quality.
     d->model = MakeRecommender("SceneRec", context, factory_config).value();
-    SCENEREC_CHECK(d->model->SupportsCrossUserScoring());
     d->model->OnEvalBegin();
     // Exact backend: the one whose MultiSearch shares the item-matrix sweep
     // across a coalesced batch — the amortization these rows measure.

@@ -96,8 +96,9 @@ int Run(int argc, char** argv) {
   std::printf("\n\n");
 
   model.OnEvalBegin();
-  auto recommendations = TopNRecommendations(
-      model.Scorer(), prepared.train_graph, user, flags.GetInt64("top_n"));
+  auto recommendations =
+      TopNRecommendations(model.BlockScorer(), prepared.train_graph, user,
+                          flags.GetInt64("top_n"));
   std::printf("Top-%zu recommendations with scene explanations:\n\n",
               recommendations.size());
   for (const Recommendation& rec : recommendations) {

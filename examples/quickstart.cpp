@@ -122,7 +122,7 @@ int Run(int argc, char** argv) {
   const int64_t user = 7;
   std::cout << "Top-5 recommendations for user " << user << ":\n";
   for (const Recommendation& rec :
-       TopNRecommendations(model.Scorer(), train_graph, user, 5)) {
+       TopNRecommendations(model.BlockScorer(), train_graph, user, 5)) {
     std::printf(
         "  item %lld (category %lld)  score %.3f  avg scene attention %.3f\n",
         static_cast<long long>(rec.item),

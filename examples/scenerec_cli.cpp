@@ -157,15 +157,16 @@ int Evaluate(const FlagParser& flags, CliContext& context) {
     pool = nullptr;
   }
   RankingMetrics sampled =
-      EvaluateRanking(context.model->Scorer(), context.split.test, 10, pool);
+      EvaluateRanking(context.model->BlockScorer(), context.split.test, 10,
+                      pool);
   std::printf("sampled-negatives protocol: NDCG@10 %.4f HR@10 %.4f MRR %.4f "
               "(%lld users)\n",
               sampled.ndcg, sampled.hr, sampled.mrr,
               static_cast<long long>(sampled.num_instances));
   if (flags.GetBool("full_ranking")) {
     RankingMetrics full =
-        EvaluateFullRanking(context.model->Scorer(), context.train_graph,
-                            context.split.test, 10, pool);
+        EvaluateFullRanking(context.model->BlockScorer(),
+                            context.train_graph, context.split.test, 10, pool);
     std::printf("full-vocabulary protocol:   NDCG@10 %.4f HR@10 %.4f MRR %.4f\n",
                 full.ndcg, full.hr, full.mrr);
   }
@@ -223,8 +224,8 @@ int Recommend(const FlagParser& flags, CliContext& context) {
                 static_cast<long long>(stats.rescored));
   } else {
     recommendations =
-        TopNRecommendations(context.model->Scorer(), context.train_graph,
-                            user, flags.GetInt64("top_n"));
+        TopNRecommendations(context.model->BlockScorer(),
+                            context.train_graph, user, flags.GetInt64("top_n"));
   }
   std::printf("top-%zu recommendations for user %lld (%s):\n",
               recommendations.size(), static_cast<long long>(user),

@@ -1,5 +1,7 @@
 #include "common/flags.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "common/check.h"
@@ -7,58 +9,59 @@
 
 namespace scenerec {
 
+void FlagParser::Register(const std::string& name, Flag flag) {
+  SCENEREC_CHECK(name != "help") << "--help is built into FlagParser";
+  SCENEREC_CHECK(flags_.find(name) == flags_.end()) << "duplicate flag" << name;
+  flags_.emplace(name, std::move(flag));
+}
+
 void FlagParser::AddInt64(const std::string& name, int64_t default_value,
                           const std::string& help) {
-  SCENEREC_CHECK(flags_.find(name) == flags_.end()) << "duplicate flag" << name;
   Flag flag;
   flag.type = Type::kInt64;
   flag.help = help;
   flag.int_value = default_value;
-  flags_.emplace(name, std::move(flag));
+  Register(name, std::move(flag));
 }
 
 void FlagParser::AddDouble(const std::string& name, double default_value,
                            const std::string& help) {
-  SCENEREC_CHECK(flags_.find(name) == flags_.end()) << "duplicate flag" << name;
   Flag flag;
   flag.type = Type::kDouble;
   flag.help = help;
   flag.double_value = default_value;
-  flags_.emplace(name, std::move(flag));
+  Register(name, std::move(flag));
 }
 
 void FlagParser::AddBool(const std::string& name, bool default_value,
                          const std::string& help) {
-  SCENEREC_CHECK(flags_.find(name) == flags_.end()) << "duplicate flag" << name;
   Flag flag;
   flag.type = Type::kBool;
   flag.help = help;
   flag.bool_value = default_value;
-  flags_.emplace(name, std::move(flag));
+  Register(name, std::move(flag));
 }
 
 void FlagParser::AddString(const std::string& name,
                            const std::string& default_value,
                            const std::string& help) {
-  SCENEREC_CHECK(flags_.find(name) == flags_.end()) << "duplicate flag" << name;
   Flag flag;
   flag.type = Type::kString;
   flag.help = help;
   flag.string_value = default_value;
-  flags_.emplace(name, std::move(flag));
+  Register(name, std::move(flag));
 }
 
 void FlagParser::AddImplicitString(const std::string& name,
                                    const std::string& default_value,
                                    const std::string& implicit_value,
                                    const std::string& help) {
-  SCENEREC_CHECK(flags_.find(name) == flags_.end()) << "duplicate flag" << name;
   Flag flag;
   flag.type = Type::kImplicitString;
   flag.help = help;
   flag.string_value = default_value;
   flag.implicit_value = implicit_value;
-  flags_.emplace(name, std::move(flag));
+  Register(name, std::move(flag));
 }
 
 Status FlagParser::SetFromString(Flag& flag, const std::string& name,
@@ -120,9 +123,14 @@ Status FlagParser::Parse(int argc, char** argv) {
     } else {
       name = body;
     }
+    if (name == "help") {
+      std::fputs(Help().c_str(), stdout);
+      std::fflush(stdout);
+      std::exit(0);
+    }
     auto it = flags_.find(name);
     if (it == flags_.end()) {
-      return Status::InvalidArgument("unknown flag --" + name + "\n" + Help());
+      return Status::InvalidArgument("unknown flag --" + name);
     }
     Flag& flag = it->second;
     if (has_value && value.empty() && flag.type == Type::kImplicitString) {

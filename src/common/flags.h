@@ -13,6 +13,8 @@ namespace scenerec {
 /// Minimal command-line flag parser used by the example and benchmark
 /// binaries. Accepts `--name=value` and `--name value`; bool flags may omit
 /// the value (`--verbose`). Unknown flags are an error so typos surface.
+/// `--help` is built in: Parse prints Help() to stdout and exits 0, so no
+/// binary registers or checks a help flag of its own.
 ///
 ///   FlagParser flags;
 ///   flags.AddInt64("seed", 42, "RNG seed");
@@ -42,8 +44,11 @@ class FlagParser {
                          const std::string& implicit_value,
                          const std::string& help);
 
-  /// Parses argv; returns InvalidArgument on unknown flags or bad values.
-  /// Non-flag positional arguments are collected into positional().
+  /// Parses argv; returns InvalidArgument on unknown flags or bad values
+  /// (naming the flag; callers append Help() themselves). Non-flag
+  /// positional arguments are collected into positional(). `--help`
+  /// anywhere in argv prints Help() to stdout and exits the process with
+  /// status 0.
   Status Parse(int argc, char** argv);
 
   /// Typed accessors. The flag must have been registered with the matching
@@ -71,6 +76,8 @@ class FlagParser {
     std::string implicit_value;  // kImplicitString only: value when bare
   };
 
+  /// Adds `flag` under a unique name other than the built-in "help".
+  void Register(const std::string& name, Flag flag);
   Status SetFromString(Flag& flag, const std::string& name,
                        const std::string& text);
   const Flag& GetFlag(const std::string& name, Type type) const;

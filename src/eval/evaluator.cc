@@ -85,16 +85,6 @@ bool ScoreBlockChecked(const BlockScoreFn& score, int64_t user,
 
 }  // namespace
 
-BlockScoreFn BlockScorerFromPairs(ScoreFn score) {
-  SCENEREC_CHECK(score != nullptr);
-  return [score = std::move(score)](int64_t user,
-                                    std::span<const int64_t> items,
-                                    std::span<float> out) {
-    SCENEREC_CHECK_EQ(items.size(), out.size());
-    for (size_t r = 0; r < items.size(); ++r) out[r] = score(user, items[r]);
-  };
-}
-
 RankingMetrics EvaluateRanking(const BlockScoreFn& score,
                                const std::vector<EvalInstance>& instances,
                                int64_t k, ThreadPool* pool) {
@@ -150,12 +140,6 @@ RankingMetrics EvaluateRanking(const BlockScoreFn& score,
         }
       });
   return ReduceInOrder(per);
-}
-
-RankingMetrics EvaluateRanking(const ScoreFn& score,
-                               const std::vector<EvalInstance>& instances,
-                               int64_t k, ThreadPool* pool) {
-  return EvaluateRanking(BlockScorerFromPairs(score), instances, k, pool);
 }
 
 RankingMetrics EvaluateFullRanking(const BlockScoreFn& score,
@@ -231,14 +215,6 @@ RankingMetrics EvaluateFullRanking(const BlockScoreFn& score,
         }
       });
   return ReduceInOrder(per);
-}
-
-RankingMetrics EvaluateFullRanking(const ScoreFn& score,
-                                   const UserItemGraph& train_graph,
-                                   const std::vector<EvalInstance>& instances,
-                                   int64_t k, ThreadPool* pool) {
-  return EvaluateFullRanking(BlockScorerFromPairs(score), train_graph,
-                             instances, k, pool);
 }
 
 }  // namespace scenerec

@@ -13,20 +13,13 @@
 
 namespace scenerec {
 
-/// Scores one (user, item) pair; higher means more likely to be clicked.
-using ScoreFn = std::function<float(int64_t user, int64_t item)>;
-
 /// Scores one user against a block of candidate items, writing
-/// out[r] = score(user, items[r]). The contract (docs/serving.md): out and
-/// items have the same length, and every out[r] is bitwise equal to the
-/// per-pair ScoreFn result for (user, items[r]) — block scoring is a
+/// out[r] = score(user, items[r]); higher means more likely to be clicked.
+/// out and items have the same length, and out[r] must not depend on which
+/// other items share the block (docs/serving.md) — block scoring is a
 /// throughput optimization, never a numerics change.
 using BlockScoreFn = std::function<void(
     int64_t user, std::span<const int64_t> items, std::span<float> out)>;
-
-/// Wraps a per-pair scorer as a block scorer (the compatibility fallback
-/// for models and tests that only provide ScoreFn).
-BlockScoreFn BlockScorerFromPairs(ScoreFn score);
 
 /// Candidates per ScoreBlock dispatch on the full-ranking and Top-N paths.
 /// Bounds per-instance scratch (ids + scores) to a few KB so blocks stay
@@ -49,11 +42,6 @@ RankingMetrics EvaluateRanking(const BlockScoreFn& score,
                                const std::vector<EvalInstance>& instances,
                                int64_t k, ThreadPool* pool = nullptr);
 
-/// Per-pair adapter of the above; identical metrics, block size 1 semantics.
-RankingMetrics EvaluateRanking(const ScoreFn& score,
-                               const std::vector<EvalInstance>& instances,
-                               int64_t k, ThreadPool* pool = nullptr);
-
 /// Stricter all-item protocol (as used by the NGCF/KGAT papers): each
 /// instance's positive is ranked against the ENTIRE item vocabulary except
 /// the user's training interactions (the instance's sampled negative list is
@@ -63,14 +51,8 @@ RankingMetrics EvaluateRanking(const ScoreFn& score,
 ///
 /// Masking is a candidate-list build step: the unmasked items are collected
 /// once per instance and scored in kScoreBlockSize chunks, which turns the
-/// protocol into row-batched GEMMs for models with ScoreBlock support.
+/// protocol into row-batched GEMMs for models that batch ScoreRows.
 RankingMetrics EvaluateFullRanking(const BlockScoreFn& score,
-                                   const UserItemGraph& train_graph,
-                                   const std::vector<EvalInstance>& instances,
-                                   int64_t k, ThreadPool* pool = nullptr);
-
-/// Per-pair adapter of the above; identical metrics.
-RankingMetrics EvaluateFullRanking(const ScoreFn& score,
                                    const UserItemGraph& train_graph,
                                    const std::vector<EvalInstance>& instances,
                                    int64_t k, ThreadPool* pool = nullptr);

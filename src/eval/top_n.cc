@@ -140,11 +140,4 @@ std::vector<Recommendation> TopNRecommendations(
   return ScoreAndSelect(score, user, UninteractedItems(train_graph, user), n);
 }
 
-std::vector<Recommendation> TopNRecommendations(
-    const ScoreFn& score, const UserItemGraph& train_graph, int64_t user,
-    int64_t n) {
-  return TopNRecommendations(BlockScorerFromPairs(score), train_graph, user,
-                             n);
-}
-
 }  // namespace scenerec

@@ -53,16 +53,11 @@ void UninteractedItems(const UserItemGraph& train_graph, int64_t user,
 /// n <= 0 or a fully interacted catalog (the daemon hits both).
 ///
 /// The candidate list is scored in kScoreBlockSize blocks (the fast path for
-/// models with ScoreBlock support) and the winners are picked by partial
+/// models that batch ScoreRows) and the winners are picked by partial
 /// selection — O(catalog + n log n), not O(catalog log catalog) — with the
 /// same strict total order as a full sort, so the returned list is
 /// identical. See docs/serving.md.
 std::vector<Recommendation> TopNRecommendations(const BlockScoreFn& score,
-                                                const UserItemGraph& train_graph,
-                                                int64_t user, int64_t n);
-
-/// Per-pair adapter of the above; identical results.
-std::vector<Recommendation> TopNRecommendations(const ScoreFn& score,
                                                 const UserItemGraph& train_graph,
                                                 int64_t user, int64_t n);
 

@@ -41,7 +41,7 @@ StatusOr<std::unique_ptr<Recommender>> MakeRecommender(
 /// mmap'd pages — no table is read, copied, or RNG-initialized, so opening
 /// a multi-gigabyte model costs one mmap plus manifest validation.
 ///
-/// The returned model is inference-only: Score/ScoreBlock/Top-N work as
+/// The returned model is inference-only: scoring and Top-N work as
 /// usual (bitwise identical to the model the snapshot was written from),
 /// but requesting gradients on its parameters aborts. The snapshot mapping
 /// lives exactly as long as the model and is unmapped on destruction — the

@@ -51,22 +51,15 @@ bool Gcmc::PrepareParallelScoring(ThreadPool& pool) {
   return true;
 }
 
-float Gcmc::Score(int64_t user, int64_t item) {
+void Gcmc::ScoreRows(std::span<const int64_t> users,
+                     std::span<const int64_t> items, std::span<float> out) {
+  SCENEREC_CHECK_EQ(users.size(), items.size());
+  SCENEREC_CHECK_EQ(users.size(), out.size());
   if (cached_.empty()) OnEvalBegin();
-  // Same fixed-order kernel as ScoreBlock: bitwise equal paths.
-  return kernels::Dot(cached_.data() + prop_.UserNode(user) * dim_,
-                      cached_.data() + prop_.ItemNode(item) * dim_, dim_);
-}
-
-void Gcmc::ScoreBlock(int64_t user, std::span<const int64_t> items,
-                      std::span<float> out) {
-  SCENEREC_CHECK_EQ(items.size(), out.size());
-  if (cached_.empty()) OnEvalBegin();
-  const float* urow = cached_.data() + prop_.UserNode(user) * dim_;
-  for (size_t r = 0; r < items.size(); ++r) {
-    out[r] =
-        kernels::Dot(urow, cached_.data() + prop_.ItemNode(items[r]) * dim_,
-                     dim_);
+  for (size_t r = 0; r < users.size(); ++r) {
+    out[r] = kernels::Dot(cached_.data() + prop_.UserNode(users[r]) * dim_,
+                          cached_.data() + prop_.ItemNode(items[r]) * dim_,
+                          dim_);
   }
 }
 

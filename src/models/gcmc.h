@@ -29,18 +29,16 @@ class Gcmc : public Recommender {
   std::string name() const override { return "GCMC"; }
   Tensor ScoreForTraining(int64_t user, int64_t item) override;
   Tensor BatchLoss(std::span<const BprTriple> batch) override;
-  float Score(int64_t user, int64_t item) override;
   void OnEvalBegin() override;
-  /// After the cache refresh Score() is a pure read of the propagated
+  /// After the cache refresh scoring is a pure read of the propagated
   /// layer snapshot, so concurrent scoring is safe.
   bool PrepareParallelScoring(ThreadPool& pool) override;
   void CollectParameters(std::vector<Tensor>* out) const override;
 
-  /// A block is dot products against the cached candidate rows with the
-  /// same fixed-order kernel as Score() — bitwise equal per pair.
-  bool SupportsBlockScoring() const override { return true; }
-  void ScoreBlock(int64_t user, std::span<const int64_t> items,
-                  std::span<float> out) override;
+  /// Row dot products z_u . z_i over the cached propagation snapshot with
+  /// the fixed-order kernels::Dot.
+  void ScoreRows(std::span<const int64_t> users,
+                 std::span<const int64_t> items, std::span<float> out) override;
 
   /// Score is z_u . z_i over the cached propagation snapshot; item nodes
   /// occupy a contiguous row block of Z, copied out as the index matrix.

@@ -22,15 +22,10 @@ Tensor ItemPop::BatchLoss(std::span<const BprTriple> batch) {
   return Scale(Reshape(dummy_, Shape()), 0.0f);
 }
 
-float ItemPop::Score(int64_t user, int64_t item) {
-  (void)user;
-  return static_cast<float>(graph_->ItemDegree(item));
-}
-
-void ItemPop::ScoreBlock(int64_t user, std::span<const int64_t> items,
-                         std::span<float> out) {
-  (void)user;
-  SCENEREC_CHECK_EQ(items.size(), out.size());
+void ItemPop::ScoreRows(std::span<const int64_t> users,
+                        std::span<const int64_t> items, std::span<float> out) {
+  SCENEREC_CHECK_EQ(users.size(), items.size());
+  SCENEREC_CHECK_EQ(users.size(), out.size());
   for (size_t r = 0; r < items.size(); ++r) {
     out[r] = static_cast<float>(graph_->ItemDegree(items[r]));
   }

@@ -22,16 +22,14 @@ class ItemPop : public Recommender {
   std::string name() const override { return "ItemPop"; }
   Tensor ScoreForTraining(int64_t user, int64_t item) override;
   Tensor BatchLoss(std::span<const BprTriple> batch) override;
-  float Score(int64_t user, int64_t item) override;
   void CollectParameters(std::vector<Tensor>* out) const override;
 
-  /// Score() reads the immutable training graph only.
+  /// Scoring reads the immutable training graph only.
   bool PrepareParallelScoring(ThreadPool&) override { return true; }
 
-  /// A block is a degree lookup per candidate — trivially batchable.
-  bool SupportsBlockScoring() const override { return true; }
-  void ScoreBlock(int64_t user, std::span<const int64_t> items,
-                  std::span<float> out) override;
+  /// A degree lookup per row.
+  void ScoreRows(std::span<const int64_t> users,
+                 std::span<const int64_t> items, std::span<float> out) override;
 
   /// Degenerate but exact 1-d export: item embedding = [degree], every
   /// query = [1], so Dot reproduces Score bitwise (deg * 1.0f is exact).

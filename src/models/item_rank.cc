@@ -83,7 +83,10 @@ const std::vector<float>& ItemRank::RankVector(int64_t user) {
 }
 
 Tensor ItemRank::ScoreForTraining(int64_t user, int64_t item) {
-  return Tensor::Scalar(Score(user, item));
+  // Reads the rank vector directly: the default ScoreRows calls back into
+  // ScoreForTraining, so routing through Score would recurse forever if the
+  // ScoreRows override were ever dropped.
+  return Tensor::Scalar(RankVector(user)[static_cast<size_t>(item)]);
 }
 
 Tensor ItemRank::BatchLoss(std::span<const BprTriple> batch) {
@@ -92,16 +95,15 @@ Tensor ItemRank::BatchLoss(std::span<const BprTriple> batch) {
   return Scale(Reshape(dummy_, Shape()), 0.0f);
 }
 
-float ItemRank::Score(int64_t user, int64_t item) {
-  return RankVector(user)[static_cast<size_t>(item)];
-}
-
-void ItemRank::ScoreBlock(int64_t user, std::span<const int64_t> items,
-                          std::span<float> out) {
-  SCENEREC_CHECK_EQ(items.size(), out.size());
-  const std::vector<float>& ranks = RankVector(user);
-  for (size_t r = 0; r < items.size(); ++r) {
-    out[r] = ranks[static_cast<size_t>(items[r])];
+void ItemRank::ScoreRows(std::span<const int64_t> users,
+                         std::span<const int64_t> items,
+                         std::span<float> out) {
+  SCENEREC_CHECK_EQ(users.size(), items.size());
+  SCENEREC_CHECK_EQ(users.size(), out.size());
+  const std::vector<float>* ranks = nullptr;
+  for (size_t r = 0; r < users.size(); ++r) {
+    if (r == 0 || users[r] != users[r - 1]) ranks = &RankVector(users[r]);
+    out[r] = (*ranks)[static_cast<size_t>(items[r])];
   }
 }
 

@@ -29,18 +29,16 @@ class ItemRank : public Recommender {
   std::string name() const override { return "ItemRank"; }
   Tensor ScoreForTraining(int64_t user, int64_t item) override;
   Tensor BatchLoss(std::span<const BprTriple> batch) override;
-  float Score(int64_t user, int64_t item) override;
   void CollectParameters(std::vector<Tensor>* out) const override;
 
   /// Fills every user's rank vector up front (each worker writes a disjoint
-  /// cache slot), after which Score() is a pure read.
+  /// cache slot), after which scoring is a pure read.
   bool PrepareParallelScoring(ThreadPool& pool) override;
 
-  /// A block resolves the user's rank vector ONCE and indexes it per
-  /// candidate, instead of re-fetching it per pair.
-  bool SupportsBlockScoring() const override { return true; }
-  void ScoreBlock(int64_t user, std::span<const int64_t> items,
-                  std::span<float> out) override;
+  /// Resolves the rank vector once per run of equal users and indexes it
+  /// per row, instead of re-fetching it per pair.
+  void ScoreRows(std::span<const int64_t> users,
+                 std::span<const int64_t> items, std::span<float> out) override;
 
  private:
   /// Power iteration for one user; cached.

@@ -107,35 +107,27 @@ void Recommender::AttachUserReprCache(std::shared_ptr<ReprCache> cache,
   SCENEREC_CHECK(false) << name() << " does not support a user-repr cache";
 }
 
-float Recommender::Score(int64_t user, int64_t item) {
+void Recommender::ScoreRows(std::span<const int64_t> users,
+                            std::span<const int64_t> items,
+                            std::span<float> out) {
+  SCENEREC_CHECK_EQ(users.size(), items.size());
+  SCENEREC_CHECK_EQ(users.size(), out.size());
   NoGradGuard no_grad;
-  return ScoreForTraining(user, item).scalar();
+  for (size_t r = 0; r < users.size(); ++r) {
+    out[r] = ScoreForTraining(users[r], items[r]).scalar();
+  }
+}
+
+float Recommender::Score(int64_t user, int64_t item) {
+  float out = 0.0f;
+  ScoreRows({&user, 1}, {&item, 1}, {&out, 1});
+  return out;
 }
 
 void Recommender::ScoreBlock(int64_t user, std::span<const int64_t> items,
                              std::span<float> out) {
-  // Per-pair fallback adapter: correct for every model (out[r] IS
-  // Score(user, items[r])), batched for none. Batching models override.
-  SCENEREC_CHECK_EQ(items.size(), out.size());
-  for (size_t r = 0; r < items.size(); ++r) out[r] = Score(user, items[r]);
-}
-
-void Recommender::ScoreRows(std::span<const int64_t> users,
-                            std::span<const int64_t> items,
-                            std::span<float> out) {
-  // Run-splitting fallback: one ScoreBlock per maximal same-user run, so a
-  // daemon batch degrades to per-request block scoring (still bitwise equal
-  // to Score row by row). Cross-user batching models override.
-  SCENEREC_CHECK_EQ(users.size(), items.size());
-  SCENEREC_CHECK_EQ(users.size(), out.size());
-  size_t start = 0;
-  while (start < users.size()) {
-    size_t end = start + 1;
-    while (end < users.size() && users[end] == users[start]) ++end;
-    ScoreBlock(users[start], items.subspan(start, end - start),
-               out.subspan(start, end - start));
-    start = end;
-  }
+  const std::vector<int64_t> users(items.size(), user);
+  ScoreRows(users, items, out);
 }
 
 }  // namespace scenerec

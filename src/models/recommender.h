@@ -33,7 +33,7 @@ struct ModelContext {
 /// retrieval embeddings reproduces Score(u, i). Drives how the retrieval
 /// layer (retrieval/item_index.h) treats index scores: under kExactScores
 /// they ARE model scores; otherwise they only pick candidates and the final
-/// ranking always comes from exact ScoreBlock rescoring (docs/retrieval.md).
+/// ranking always comes from exact ScoreRows rescoring (docs/retrieval.md).
 enum class RetrievalFidelity {
   /// The inner product is bitwise equal to Score (BPR-MF, GCMC, ItemPop).
   kExactScores,
@@ -139,55 +139,38 @@ class Recommender : public Module {
     return ScoreForTraining(user, item);
   }
 
-  /// Inference-mode score. Default: ScoreForTraining under NoGradGuard.
-  /// Models with cached propagated representations override this.
-  virtual float Score(int64_t user, int64_t item);
-
-  // -- Block scoring (batched inference) --------------------------------
+  // -- Inference scoring -------------------------------------------------
   //
-  // Full-ranking evaluation and Top-N serving score one user against
-  // thousands of candidate items. ScoreBlock is the batched entry point:
-  // models that can gather their (memoized) user/item representations into
-  // matrices answer a whole block with row-batched GEMMs instead of one
-  // autograd forward per pair (docs/serving.md). The contract is strict:
-  // out[r] must be bitwise equal to Score(user, items[r]) for every r, so
-  // callers may switch between the paths freely without metrics drift.
-
-  /// True if ScoreBlock is a genuine batched fast path rather than the
-  /// per-pair fallback loop. Purely informational — ScoreBlock is always
-  /// callable — but benches and tests use it to pick comparison targets.
-  virtual bool SupportsBlockScoring() const { return false; }
-
-  /// Scores `items.size()` candidates for one user into `out` (same
-  /// length). Requires the same preparation as Score (OnEvalBegin, and
-  /// PrepareParallelScoring before concurrent use). The default loops
-  /// Score() — correct for every model, batched for none.
-  virtual void ScoreBlock(int64_t user, std::span<const int64_t> items,
-                          std::span<float> out);
-
-  // -- Cross-request row scoring (the serving daemon's batch shape) ------
-  //
-  // The admission loop of scenerec_serve (src/serve/server.h) coalesces
-  // concurrent users' candidate blocks into ONE flattened row list, so that
-  // requests arriving together share GEMM batches the same way ForwardRows
-  // shares them across items. ScoreRows is that entry point: row r scores
-  // the pair (users[r], items[r]). The contract extends ScoreBlock's:
-  // out[r] must be bitwise equal to Score(users[r], items[r]) for every r,
-  // independent of which rows happen to share a call — so the daemon's
-  // batched results are bitwise identical to per-request serving, and rows
-  // may be re-chunked freely (docs/serving.md).
-
-  /// True if ScoreRows batches across users (one shared GEMM per call)
-  /// rather than splitting into per-user ScoreBlock runs. Informational,
-  /// like SupportsBlockScoring.
-  virtual bool SupportsCrossUserScoring() const { return false; }
+  // ScoreRows is the ONE scoring function models implement: row r scores
+  // the pair (users[r], items[r]). Every other inference entry point is a
+  // batch of it — Score is one row, ScoreBlock is one user against a block
+  // of candidates — so each model makes its scoring decision in exactly one
+  // place. The serving daemon (src/serve/server.h) coalesces concurrent
+  // users' candidate blocks into one flattened row list, so batching models
+  // share GEMMs across requests the same way ForwardRows shares them across
+  // items. The contract: out[r] is bitwise equal to the autograd reference
+  // ScoreForTraining(users[r], items[r]).scalar() under NoGradGuard,
+  // independent of which rows happen to share a call, so callers may batch
+  // and re-chunk rows freely without metrics drift (docs/serving.md).
 
   /// Scores row pairs (users[r], items[r]) into out[r]. All three spans
-  /// have the same length. The default splits the rows into maximal runs of
-  /// equal user and dispatches ScoreBlock per run — correct for every
-  /// model; cross-user batching models override.
+  /// have the same length. Requires OnEvalBegin after parameter changes,
+  /// and PrepareParallelScoring before concurrent use. The default IS the
+  /// reference: ScoreForTraining per row under NoGradGuard — correct for
+  /// every model, batched for none. Models with cached representations
+  /// override it.
   virtual void ScoreRows(std::span<const int64_t> users,
                          std::span<const int64_t> items, std::span<float> out);
+
+  /// One pair: a ScoreRows call with one row.
+  float Score(int64_t user, int64_t item);
+
+  /// Scores `items.size()` candidates for one user into `out` (same
+  /// length): a ScoreRows call with `items.size()` copies of `user`.
+  /// Virtual only so forwarding wrappers (perfbench's EpochClock) can
+  /// intercept it; models implement ScoreRows instead.
+  virtual void ScoreBlock(int64_t user, std::span<const int64_t> items,
+                          std::span<float> out);
 
   // -- Retrieval-embedding export (two-stage serving) --------------------
   //
@@ -223,10 +206,10 @@ class Recommender : public Module {
   // a bounded common/ReprCache instead of precomputing every user at
   // publish time: PrepareParallelScoring then skips the O(users) sweep and
   // a missing user is computed on first touch — bitwise identical to the
-  // precomputed row, so every scoring contract (Score == ScoreBlock ==
-  // ScoreRows) extends unchanged. Entries are tagged with the publisher's
-  // version; attaching with a new version lazily invalidates the previous
-  // publish's entries with no flush (docs/serving.md#warmup).
+  // precomputed row, so the ScoreRows contract extends unchanged. Entries
+  // are tagged with the publisher's version; attaching with a new version
+  // lazily invalidates the previous publish's entries with no flush
+  // (docs/serving.md#warmup).
 
   /// True if AttachUserReprCache is implemented.
   virtual bool SupportsUserReprCache() const { return false; }
@@ -243,11 +226,11 @@ class Recommender : public Module {
   virtual void AttachUserReprCache(std::shared_ptr<ReprCache> cache,
                                    uint64_t version);
 
-  /// Makes Score() safe to call concurrently and returns true, or returns
+  /// Makes scoring safe to call concurrently and returns true, or returns
   /// false if this model's scoring path cannot be parallelized. Called by
   /// the trainer/evaluator after OnEvalBegin; implementations typically
   /// precompute lazily-filled eval caches here (optionally using `pool`)
-  /// so that concurrent Score() calls are pure reads. Defaults to false.
+  /// so that concurrent ScoreRows calls are pure reads. Defaults to false.
   virtual bool PrepareParallelScoring(ThreadPool& pool) {
     (void)pool;
     return false;
@@ -261,15 +244,9 @@ class Recommender : public Module {
   /// its attention coefficients once per epoch). Default no-op.
   virtual void OnEpochBegin() {}
 
-  /// Adapter for the evaluation harness's per-pair interface.
-  ScoreFn Scorer() {
-    return [this](int64_t user, int64_t item) { return Score(user, item); };
-  }
-
-  /// Adapter for the evaluation harness's block interface: one virtual
-  /// dispatch per candidate block instead of one std::function call per
-  /// pair. The preferred scorer for EvaluateRanking / EvaluateFullRanking /
-  /// TopNRecommendations.
+  /// Adapter for the evaluation harness's block interface (EvaluateRanking,
+  /// EvaluateFullRanking, TopNRecommendations): one virtual dispatch per
+  /// candidate block.
   BlockScoreFn BlockScorer() {
     return [this](int64_t user, std::span<const int64_t> items,
                   std::span<float> out) { ScoreBlock(user, items, out); };

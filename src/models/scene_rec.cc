@@ -412,7 +412,7 @@ bool SceneRec::PrepareParallelScoring(ThreadPool& pool) {
   // With a demand-paged cache attached the O(users) sweep is skipped
   // entirely — hot swap warm-up is O(items) and user reprs materialize on
   // first touch (docs/serving.md#warmup). Without one, precompute every
-  // user so concurrent Score() calls are pure reads.
+  // user so concurrent scoring calls are pure reads.
   if (user_repr_cache_ == nullptr) {
     const int64_t num_users = user_item_->num_users();
     if (eval_user_cache_.empty()) {
@@ -435,35 +435,6 @@ bool SceneRec::PrepareParallelScoring(ThreadPool& pool) {
   return true;
 }
 
-void SceneRec::ScoreBlock(int64_t user, std::span<const int64_t> items,
-                          std::span<float> out) {
-  SCENEREC_CHECK_EQ(items.size(), out.size());
-  if (items.empty()) return;
-  NoGradGuard no_grad;
-  // Representations come from the eval caches: pre-filled by
-  // PrepareParallelScoring (parallel sweeps, pure reads here) or filled
-  // lazily on first use (serial sweeps) — the identical code path Score()
-  // takes, so cached rows are bitwise-shared between both.
-  const Tensor user_repr = UserRepr(user, nullptr);
-  const int64_t d = config_.embedding_dim;
-  const int64_t rows = static_cast<int64_t>(items.size());
-  std::vector<float> xs(static_cast<size_t>(rows * 2 * d));
-  const float* urow = user_repr.value().data();
-  for (int64_t r = 0; r < rows; ++r) {
-    Tensor item_repr =
-        GeneralItemRepr(items[static_cast<size_t>(r)], step_caches_, nullptr);
-    float* dst = xs.data() + r * 2 * d;
-    const float* irow = item_repr.value().data();
-    for (int64_t c = 0; c < d; ++c) dst[c] = urow[c];
-    for (int64_t c = 0; c < d; ++c) dst[d + c] = irow[c];
-  }
-  // Eq. (14) once per block: [B, 2d] -> [B, 1] row-batched GEMMs.
-  Tensor scores = rating_mlp_.ForwardRows(
-      Tensor::FromVector(Shape({rows, 2 * d}), std::move(xs)));
-  const float* src = scores.value().data();
-  for (int64_t r = 0; r < rows; ++r) out[static_cast<size_t>(r)] = src[r];
-}
-
 void SceneRec::ScoreRows(std::span<const int64_t> users,
                          std::span<const int64_t> items,
                          std::span<float> out) {
@@ -471,10 +442,10 @@ void SceneRec::ScoreRows(std::span<const int64_t> users,
   SCENEREC_CHECK_EQ(users.size(), out.size());
   if (users.empty()) return;
   NoGradGuard no_grad;
-  // Same memoized eval representations as Score()/ScoreBlock — consecutive
-  // rows of one request hit the user memo, and under PrepareParallelScoring
-  // every lookup is a pure read — gathered across ALL coalesced requests
-  // into one [N, 2d] matrix.
+  // Representations come from the eval caches: pre-filled by
+  // PrepareParallelScoring (parallel sweeps, pure reads here) or filled
+  // lazily on first use (serial sweeps), gathered across ALL rows into one
+  // [N, 2d] matrix.
   const int64_t d = config_.embedding_dim;
   const int64_t rows = static_cast<int64_t>(users.size());
   std::vector<float> xs(static_cast<size_t>(rows * 2 * d));
@@ -496,7 +467,7 @@ void SceneRec::ScoreRows(std::span<const int64_t> users,
     for (int64_t c = 0; c < d; ++c) dst[c] = urow[c];
     for (int64_t c = 0; c < d; ++c) dst[d + c] = irow[c];
   }
-  // Eq. (14) once per coalesced batch: [N, 2d] -> [N, 1].
+  // Eq. (14) once per call: [N, 2d] -> [N, 1].
   Tensor scores = rating_mlp_.ForwardRows(
       Tensor::FromVector(Shape({rows, 2 * d}), std::move(xs)));
   const float* src = scores.value().data();
@@ -510,7 +481,7 @@ RetrievalEmbeddings SceneRec::ExportItemEmbeddings() {
   out.dim = config_.embedding_dim;
   out.fidelity = RetrievalFidelity::kProxy;
   out.owned_items.resize(static_cast<size_t>(out.num_items * out.dim));
-  // Same lazily-filled eval caches as Score()/ScoreBlock, so exporting
+  // Same lazily-filled eval caches as ScoreRows, so exporting
   // doubles as a cache warm-up and never forks representations.
   for (int64_t i = 0; i < out.num_items; ++i) {
     Tensor repr = GeneralItemRepr(i, step_caches_, nullptr);

@@ -73,28 +73,18 @@ class SceneRec : public Recommender {
 
   /// Precomputes every eval memo in dependency stages (scene sums ->
   /// category reprs -> item reprs -> user reprs), each stage parallel over
-  /// disjoint cache slots, then returns true: Score() becomes a pure read
+  /// disjoint cache slots, then returns true: scoring becomes a pure read
   /// plus a thread-local rating MLP forward.
   bool PrepareParallelScoring(ThreadPool& pool) override;
 
-  // -- Block scoring -------------------------------------------------------
-  // Gathers the memoized user/item representations into one [B, 2d] matrix
-  // and runs eq. (14) once per block through rating_mlp_.ForwardRows — a
-  // row-batched GEMM instead of B per-pair autograd forwards. Bitwise equal
-  // to per-pair Score() because ForwardRows row r is bitwise equal to
-  // Forward(row r) (docs/kernels.md) and the gather is a pure copy.
-  bool SupportsBlockScoring() const override { return true; }
-  void ScoreBlock(int64_t user, std::span<const int64_t> items,
-                  std::span<float> out) override;
-
-  /// Cross-request batching for the serving daemon: gathers the memoized
-  /// representations of EVERY (users[r], items[r]) pair into one [N, 2d]
-  /// matrix and runs eq. (14) once for the whole coalesced batch — users
-  /// arriving together share the rating-MLP GEMM. Bitwise equal to
-  /// per-request ScoreBlock for the same reason ScoreBlock is bitwise equal
-  /// to Score: ForwardRows row r equals Forward(row r) bitwise and the
-  /// gather is a pure copy.
-  bool SupportsCrossUserScoring() const override { return true; }
+  // -- Scoring -------------------------------------------------------------
+  // Gathers the memoized representations of EVERY (users[r], items[r]) pair
+  // into one [N, 2d] matrix and runs eq. (14) once through
+  // rating_mlp_.ForwardRows — a row-batched GEMM instead of N per-pair
+  // autograd forwards, shared by every user in a coalesced serving batch.
+  // Bitwise equal to the per-pair reference because ForwardRows row r is
+  // bitwise equal to Forward(row r) (docs/kernels.md) and the gather is a
+  // pure copy.
   void ScoreRows(std::span<const int64_t> users,
                  std::span<const int64_t> items, std::span<float> out) override;
 
@@ -106,9 +96,8 @@ class SceneRec : public Recommender {
   // ForwardRows-precomputed one; docs/kernels.md) and insert it. Prepare-
   // ParallelScoring then skips the O(users) sweep: hot swap warm-up becomes
   // O(items) and user-side memory O(cache capacity). The cache's sharded
-  // locks plus the pure-read item/scene memos keep concurrent
-  // ScoreBlock/ScoreRows safe after PrepareParallelScoring, exactly as in
-  // full warm-up mode.
+  // locks plus the pure-read item/scene memos keep concurrent ScoreRows
+  // safe after PrepareParallelScoring, exactly as in full warm-up mode.
   bool SupportsUserReprCache() const override { return true; }
   int64_t UserReprDim() const override { return config_.embedding_dim; }
   void AttachUserReprCache(std::shared_ptr<ReprCache> cache,
@@ -117,7 +106,7 @@ class SceneRec : public Recommender {
   /// Exports the memoized eval representations (eqs. 1 and 13). The true
   /// score is the rating MLP over [user_repr, item_repr] — not an inner
   /// product — so the export is kProxy: index order only picks candidates
-  /// and two-stage serving always reranks with exact ScoreBlock.
+  /// and two-stage serving always reranks with exact ScoreRows.
   bool SupportsRetrievalEmbeddings() const override { return true; }
   int64_t RetrievalDim() const override { return config_.embedding_dim; }
   RetrievalEmbeddings ExportItemEmbeddings() override;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <thread>
@@ -356,6 +357,49 @@ TEST(FlagParserTest, UnknownFlagRejected) {
   char a0[] = "prog", a1[] = "--sede=3";
   char* argv[] = {a0, a1};
   EXPECT_FALSE(flags.Parse(2, argv).ok());
+}
+
+// The unknown-flag status names the flag but does not embed the usage
+// block: callers print Help() themselves, so embedding it printed it twice.
+TEST(FlagParserTest, UnknownFlagStatusNamesFlagWithoutUsage) {
+  FlagParser flags;
+  flags.AddInt64("seed", 0, "RNG seed");
+  char a0[] = "prog", a1[] = "--sede=3";
+  char* argv[] = {a0, a1};
+  const Status status = flags.Parse(2, argv);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--sede"), std::string::npos);
+  EXPECT_EQ(status.message().find("Flags:"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(status.message().find("RNG seed"), std::string::npos);
+}
+
+// --help is built in: usage goes to stdout exactly once and the process
+// exits 0 — before any later flag can fail parsing.
+TEST(FlagParserTest, HelpPrintsUsageOnceAndExitsZero) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  FlagParser flags;
+  flags.AddInt64("seed", 42, "RNG seed");
+  char a0[] = "prog", a1[] = "--help", a2[] = "--bogus";
+  char* argv[] = {a0, a1, a2};
+  // The death-test matcher reads stderr, so route stdout there first.
+  EXPECT_EXIT(
+      {
+        std::fflush(stdout);
+        ::dup2(STDERR_FILENO, STDOUT_FILENO);
+        (void)flags.Parse(3, argv);
+      },
+      ::testing::ExitedWithCode(0),
+      "^Flags:\n  --seed=<int> \\(default 42\\)  RNG seed\n$");
+}
+
+// Registering a flag named "help" would shadow the built-in; it is a
+// programming error.
+TEST(FlagParserTest, HelpIsReservedName) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  FlagParser flags;
+  EXPECT_DEATH(flags.AddBool("help", false, "show usage"), "built into");
 }
 
 TEST(FlagParserTest, BadValueRejected) {

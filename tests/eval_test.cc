@@ -11,9 +11,12 @@
 #include "eval/top_n.h"
 #include "graph/bipartite_graph.h"
 #include "eval/metrics.h"
+#include "tests/test_util.h"
 
 namespace scenerec {
 namespace {
+
+using testing::PerPair;
 
 // -- RankOfPositive ----------------------------------------------------------
 
@@ -99,7 +102,7 @@ TEST(EvaluatorTest, PerfectModelScoresOne) {
   auto score = [](int64_t, int64_t item) {
     return item >= 100 ? 1.0f : 0.0f;
   };
-  RankingMetrics m = EvaluateRanking(score, instances, 10);
+  RankingMetrics m = EvaluateRanking(PerPair(score), instances, 10);
   EXPECT_DOUBLE_EQ(m.hr, 1.0);
   EXPECT_DOUBLE_EQ(m.ndcg, 1.0);
   EXPECT_EQ(m.num_instances, 5);
@@ -113,7 +116,7 @@ TEST(EvaluatorTest, WorstModelScoresZero) {
   auto score = [](int64_t, int64_t item) {
     return item == 999 ? -1.0f : 1.0f;
   };
-  RankingMetrics m = EvaluateRanking(score, instances, 10);
+  RankingMetrics m = EvaluateRanking(PerPair(score), instances, 10);
   EXPECT_DOUBLE_EQ(m.hr, 0.0);
   EXPECT_DOUBLE_EQ(m.ndcg, 0.0);
 }
@@ -128,7 +131,7 @@ TEST(EvaluatorTest, MidRankGivesPartialCredit) {
     if (item == 50) return 0.5f;
     return item < 4 ? 1.0f : 0.0f;
   };
-  RankingMetrics m = EvaluateRanking(score, instances, 10);
+  RankingMetrics m = EvaluateRanking(PerPair(score), instances, 10);
   EXPECT_DOUBLE_EQ(m.hr, 1.0);
   EXPECT_DOUBLE_EQ(m.ndcg, 1.0 / std::log2(6.0));
 }
@@ -142,7 +145,7 @@ TEST(EvaluatorTest, ConstantScorerIsNotPerfect) {
   instances[0].positive_item = 100;
   for (int64_t n = 0; n < 19; ++n) instances[0].negative_items.push_back(n);
   auto score = [](int64_t, int64_t) { return 0.5f; };
-  RankingMetrics m = EvaluateRanking(score, instances, 10);
+  RankingMetrics m = EvaluateRanking(PerPair(score), instances, 10);
   EXPECT_DOUBLE_EQ(m.hr, 10.0 / 20.0);
   EXPECT_LT(m.ndcg, 1.0);
   EXPECT_GT(m.ndcg, 0.0);
@@ -156,7 +159,7 @@ TEST(EvaluatorTest, NonFiniteScoresPoisonMetrics) {
   auto score = [](int64_t, int64_t item) {
     return item == 100 ? std::numeric_limits<float>::quiet_NaN() : 0.0f;
   };
-  RankingMetrics m = EvaluateRanking(score, instances, 10);
+  RankingMetrics m = EvaluateRanking(PerPair(score), instances, 10);
   EXPECT_TRUE(std::isnan(m.hr));
   EXPECT_TRUE(std::isnan(m.ndcg));
   EXPECT_TRUE(std::isnan(m.mrr));
@@ -169,7 +172,7 @@ TEST(EvaluatorTest, FullRankingNonFiniteScoresPoisonMetrics) {
   auto score = [](int64_t, int64_t item) {
     return item == 4 ? std::numeric_limits<float>::infinity() : 0.5f;
   };
-  RankingMetrics m = EvaluateFullRanking(score, train, instances, 2);
+  RankingMetrics m = EvaluateFullRanking(PerPair(score), train, instances, 2);
   EXPECT_TRUE(std::isnan(m.ndcg));
 }
 
@@ -180,13 +183,13 @@ TEST(EvaluatorTest, FullRankingGivesTiedItemsExpectedCredit) {
   std::vector<EvalInstance> instances(1);
   instances[0] = {0, 2, {}};
   auto score = [](int64_t, int64_t) { return 1.0f; };
-  RankingMetrics m = EvaluateFullRanking(score, train, instances, 1);
+  RankingMetrics m = EvaluateFullRanking(PerPair(score), train, instances, 1);
   EXPECT_DOUBLE_EQ(m.hr, 1.0 / 3.0);
 }
 
 TEST(EvaluatorTest, EmptyInstances) {
   RankingMetrics m =
-      EvaluateRanking([](int64_t, int64_t) { return 0.0f; }, {}, 10);
+      EvaluateRanking(PerPair([](int64_t, int64_t) { return 0.0f; }), {}, 10);
   EXPECT_EQ(m.num_instances, 0);
   EXPECT_DOUBLE_EQ(m.hr, 0.0);
 }
@@ -205,7 +208,7 @@ TEST(EvaluatorTest, MrrReported) {
     if (item == 50) return 0.5f;
     return item <= 2 ? 1.0f : 0.0f;
   };
-  RankingMetrics m = EvaluateRanking(score, instances, 10);
+  RankingMetrics m = EvaluateRanking(PerPair(score), instances, 10);
   EXPECT_DOUBLE_EQ(m.mrr, 1.0 / 3.0);
 }
 
@@ -229,7 +232,7 @@ TEST(EvaluatorTest, FullRankingMasksTrainingItems) {
         return 1.0f;
     }
   };
-  RankingMetrics m = EvaluateFullRanking(score, train, instances, 2);
+  RankingMetrics m = EvaluateFullRanking(PerPair(score), train, instances, 2);
   // Only item 3 outranks the positive among non-train candidates -> rank 1.
   EXPECT_DOUBLE_EQ(m.hr, 1.0);
   EXPECT_DOUBLE_EQ(m.mrr, 0.5);
@@ -250,8 +253,9 @@ TEST(EvaluatorTest, FullRankingHarderThanSampled) {
     if (item == 199) return 50.0f;
     return item >= 100 ? 100.0f : 0.0f;
   };
-  RankingMetrics sampled = EvaluateRanking(score, instances, 10);
-  RankingMetrics full = EvaluateFullRanking(score, train, instances, 10);
+  RankingMetrics sampled = EvaluateRanking(PerPair(score), instances, 10);
+  RankingMetrics full =
+      EvaluateFullRanking(PerPair(score), train, instances, 10);
   EXPECT_DOUBLE_EQ(sampled.hr, 1.0);
   EXPECT_DOUBLE_EQ(full.hr, 0.0);  // rank 99
   EXPECT_LE(full.hr, sampled.hr);
@@ -267,7 +271,7 @@ TEST(EvaluatorTest, AveragesAcrossInstances) {
     if (item == 200) return -2.0f;  // below all negatives
     return 0.0f;
   };
-  RankingMetrics m = EvaluateRanking(score, instances, 1);
+  RankingMetrics m = EvaluateRanking(PerPair(score), instances, 1);
   EXPECT_DOUBLE_EQ(m.hr, 0.5);
   EXPECT_DOUBLE_EQ(m.ndcg, 0.5);
 }
@@ -279,7 +283,7 @@ TEST(TopNTest, ExcludesTrainingItemsAndSortsByScore) {
   auto score = [](int64_t, int64_t item) {
     return static_cast<float>(item);  // higher id = higher score
   };
-  auto recs = TopNRecommendations(score, train, 0, 3);
+  auto recs = TopNRecommendations(PerPair(score), train, 0, 3);
   ASSERT_EQ(recs.size(), 3u);
   EXPECT_EQ(recs[0].item, 4);  // 5 excluded (training item)
   EXPECT_EQ(recs[1].item, 3);
@@ -290,7 +294,7 @@ TEST(TopNTest, ExcludesTrainingItemsAndSortsByScore) {
 TEST(TopNTest, TiesBrokenByLowerItemId) {
   UserItemGraph train = UserItemGraph::Build(1, 5, {{0, 0}});
   auto score = [](int64_t, int64_t) { return 1.0f; };
-  auto recs = TopNRecommendations(score, train, 0, 2);
+  auto recs = TopNRecommendations(PerPair(score), train, 0, 2);
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[0].item, 1);
   EXPECT_EQ(recs[1].item, 2);
@@ -300,7 +304,7 @@ TEST(TopNTest, FewerCandidatesThanN) {
   UserItemGraph train =
       UserItemGraph::Build(1, 3, {{0, 0}, {0, 1}});
   auto score = [](int64_t, int64_t) { return 0.0f; };
-  auto recs = TopNRecommendations(score, train, 0, 10);
+  auto recs = TopNRecommendations(PerPair(score), train, 0, 10);
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].item, 2);
 }
@@ -318,17 +322,24 @@ TEST(EvaluatorTest, BlockScoreFnMatchesPerPairAdapters) {
   instances[0] = {0, 7, {1, 2, 3}};
   instances[1] = {1, 9, {4, 5, 6}};
   instances[2] = {2, 11, {1, 5, 9}};
-  BlockScoreFn block = [](int64_t user, std::span<const int64_t> items,
-                          std::span<float> out) {
-    for (size_t r = 0; r < items.size(); ++r) {
-      out[r] = HashScore(user, items[r]);
+  // Reference: rank each positive pair by pair with RankOfPositive and
+  // average the per-instance metrics.
+  double hr = 0.0, ndcg = 0.0, mrr = 0.0;
+  for (const EvalInstance& instance : instances) {
+    std::vector<float> negatives;
+    for (int64_t item : instance.negative_items) {
+      negatives.push_back(HashScore(instance.user, item));
     }
-  };
-  RankingMetrics per_pair = EvaluateRanking(ScoreFn(HashScore), instances, 2);
-  RankingMetrics blocked = EvaluateRanking(block, instances, 2);
-  EXPECT_DOUBLE_EQ(per_pair.hr, blocked.hr);
-  EXPECT_DOUBLE_EQ(per_pair.ndcg, blocked.ndcg);
-  EXPECT_DOUBLE_EQ(per_pair.mrr, blocked.mrr);
+    const PositiveRank rank = RankOfPositive(
+        HashScore(instance.user, instance.positive_item), negatives);
+    hr += HitRatioAtK(rank, 2);
+    ndcg += NdcgAtK(rank, 2);
+    mrr += ReciprocalRank(rank);
+  }
+  RankingMetrics blocked = EvaluateRanking(PerPair(HashScore), instances, 2);
+  EXPECT_DOUBLE_EQ(hr / 3.0, blocked.hr);
+  EXPECT_DOUBLE_EQ(ndcg / 3.0, blocked.ndcg);
+  EXPECT_DOUBLE_EQ(mrr / 3.0, blocked.mrr);
 }
 
 TEST(EvaluatorTest, FullRankingChunksBlocksAtScoreBlockSize) {
@@ -351,22 +362,16 @@ TEST(EvaluatorTest, FullRankingChunksBlocksAtScoreBlockSize) {
   RankingMetrics blocked = EvaluateFullRanking(block, train, instances, 10);
   EXPECT_LE(max_block, static_cast<size_t>(kScoreBlockSize));
   EXPECT_EQ(scored, num_items - 1);  // full catalog minus the masked item 0
-  RankingMetrics per_pair =
-      EvaluateFullRanking(ScoreFn(HashScore), train, instances, 10);
-  EXPECT_DOUBLE_EQ(per_pair.hr, blocked.hr);
-  EXPECT_DOUBLE_EQ(per_pair.ndcg, blocked.ndcg);
-  EXPECT_DOUBLE_EQ(per_pair.mrr, blocked.mrr);
-}
-
-TEST(EvaluatorTest, BlockScorerFromPairsForwardsEveryCandidate) {
-  BlockScoreFn block = BlockScorerFromPairs(ScoreFn(HashScore));
-  std::vector<int64_t> items = {5, 0, 9};
-  std::vector<float> out(items.size());
-  block(3, items, out);
-  for (size_t r = 0; r < items.size(); ++r) {
-    EXPECT_EQ(out[r], HashScore(3, items[r]));
+  // Reference: the positive ranked against the whole unmasked catalog in
+  // one piece.
+  std::vector<float> others;
+  for (int64_t item = 1; item < num_items; ++item) {
+    if (item != 42) others.push_back(HashScore(0, item));
   }
-  block(3, std::span<const int64_t>(), std::span<float>());  // no-op
+  const PositiveRank rank = RankOfPositive(HashScore(0, 42), others);
+  EXPECT_DOUBLE_EQ(HitRatioAtK(rank, 10), blocked.hr);
+  EXPECT_DOUBLE_EQ(NdcgAtK(rank, 10), blocked.ndcg);
+  EXPECT_DOUBLE_EQ(ReciprocalRank(rank), blocked.mrr);
 }
 
 TEST(TopNTest, PartialSelectionMatchesFullSortWithTies) {
@@ -378,7 +383,7 @@ TEST(TopNTest, PartialSelectionMatchesFullSortWithTies) {
   auto score = [](int64_t, int64_t item) {
     return static_cast<float>(item % 7);
   };
-  auto recs = TopNRecommendations(ScoreFn(score), train, 0, 25);
+  auto recs = TopNRecommendations(PerPair(score), train, 0, 25);
 
   std::vector<std::pair<float, int64_t>> expected;
   for (int64_t i = 0; i < num_items; ++i) {
@@ -403,7 +408,7 @@ TEST(TopNTest, CandidateSpanOverloadMatchesGraphPath) {
   // Unmasked full catalog through the span overload equals the graph
   // overload for a user with no training interactions to mask.
   UserItemGraph train = UserItemGraph::Build(2, 40, {{1, 0}});
-  BlockScoreFn block = BlockScorerFromPairs(ScoreFn(HashScore));
+  BlockScoreFn block = PerPair(HashScore);
   std::vector<int64_t> all(40);
   for (int64_t i = 0; i < 40; ++i) all[i] = i;
   const auto want = TopNRecommendations(block, train, 0, 7);
@@ -416,8 +421,8 @@ TEST(TopNTest, CandidateSpanOverloadMatchesGraphPath) {
 }
 
 TEST(TopNTest, CandidateSpanOverloadSelectsOnlyFromCandidates) {
-  BlockScoreFn block = BlockScorerFromPairs(
-      ScoreFn([](int64_t, int64_t item) { return static_cast<float>(item); }));
+  BlockScoreFn block =
+      PerPair([](int64_t, int64_t item) { return static_cast<float>(item); });
   const std::vector<int64_t> candidates = {9, 2, 14, 5};
   const auto recs = TopNRecommendations(block, 0, candidates, 3);
   ASSERT_EQ(recs.size(), 3u);
@@ -427,8 +432,7 @@ TEST(TopNTest, CandidateSpanOverloadSelectsOnlyFromCandidates) {
 }
 
 TEST(TopNTest, CandidateSpanOverloadEdgeCases) {
-  BlockScoreFn block = BlockScorerFromPairs(
-      ScoreFn([](int64_t, int64_t) { return 1.0f; }));
+  BlockScoreFn block = PerPair([](int64_t, int64_t) { return 1.0f; });
   // Empty candidate span -> empty result.
   EXPECT_TRUE(
       TopNRecommendations(block, 0, std::span<const int64_t>(), 5).empty());

@@ -1,9 +1,10 @@
-// Cross-model equivalence tests for the block-scoring path
-// (docs/serving.md): for every factory model — batching fast paths and
-// per-pair fallbacks alike — ScoreBlock must be bitwise equal to per-pair
-// Score(), and the block-based ranking/serving entry points must reproduce
-// the per-pair results exactly, serial and parallel. Runs under TSan (the
-// parallel block sweep) and ASan+UBSan (span/buffer arithmetic) via
+// Cross-model contract tests for the one scoring virtual (docs/serving.md):
+// for every factory model — batching overrides and the autograd default
+// alike — ScoreRows must be bitwise equal to the reference
+// ScoreForTraining(u, i).scalar() under NoGradGuard, whatever rows share a
+// call, and the block-based ranking/serving entry points must reproduce the
+// per-pair reference results exactly, serial and parallel. Runs under TSan
+// (the parallel block sweep) and ASan+UBSan (span/buffer arithmetic) via
 // tools/check.sh.
 
 #include <cstdint>
@@ -22,9 +23,24 @@
 #include "graph/bipartite_graph.h"
 #include "models/factory.h"
 #include "models/scene_rec.h"
+#include "tensor/tensor.h"
+#include "tests/test_util.h"
 
 namespace scenerec {
 namespace {
+
+/// The reference score: the differentiable forward under NoGradGuard.
+float ReferenceScore(Recommender& model, int64_t user, int64_t item) {
+  NoGradGuard no_grad;
+  return model.ScoreForTraining(user, item).scalar();
+}
+
+/// The reference as a per-pair block scorer, for the ranking entry points.
+BlockScoreFn ReferenceScorer(Recommender& model) {
+  return testing::PerPair([&model](int64_t user, int64_t item) {
+    return ReferenceScore(model, user, item);
+  });
+}
 
 /// Every factory-constructible model: the Table 2 grid (including the
 /// SceneRec ablation variants) plus the two reference baselines.
@@ -87,8 +103,43 @@ class ScoringTest : public ::testing::Test {
   SceneGraph scene_graph_;
 };
 
-// The core contract: out[r] of one full-catalog block is bitwise equal to
-// the per-pair Score, for every factory model (fast path or fallback).
+// The core contract: ScoreRows over interleaved users (runs A, B, A, then
+// alternating single rows) is bitwise equal to the reference per row, for
+// every factory model. ScoreRows runs first, on cold eval caches.
+TEST_F(ScoringTest, ScoreRowsIsBitwiseEqualToReferenceForAllModels) {
+  const std::vector<int64_t> items = AllItems();
+  std::vector<int64_t> row_users;
+  std::vector<int64_t> row_items;
+  for (int64_t user : {int64_t{0}, int64_t{7}, int64_t{0}}) {
+    for (int64_t item : items) {
+      row_users.push_back(user);
+      row_items.push_back(item);
+    }
+  }
+  for (int64_t r = 0; r < 20; ++r) {
+    row_users.push_back(r % 2 == 0 ? 29 : 7);
+    row_items.push_back((r * 37) % dataset_.num_items);
+  }
+  for (const std::string& name : AllModelNames()) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<Recommender> model = Make(name);
+    ASSERT_NE(model, nullptr);
+    model->OnEvalBegin();
+    model->ScoreRows(std::span<const int64_t>(), std::span<const int64_t>(),
+                     std::span<float>());  // empty spans: a no-op
+    std::vector<float> out(row_users.size());
+    model->ScoreRows(row_users, row_items, out);
+    for (size_t r = 0; r < out.size(); ++r) {
+      // ASSERT_EQ, not NEAR: batching must not change numerics.
+      ASSERT_EQ(out[r], ReferenceScore(*model, row_users[r], row_items[r]))
+          << "row " << r << " user " << row_users[r] << " item "
+          << row_items[r];
+    }
+  }
+}
+
+// Batch independence: out[r] of one full-catalog block is bitwise equal to
+// the one-row Score, for every factory model.
 TEST_F(ScoringTest, ScoreBlockIsBitwiseEqualToPerPairScoreForAllModels) {
   for (const std::string& name : AllModelNames()) {
     SCOPED_TRACE(name);
@@ -100,7 +151,6 @@ TEST_F(ScoringTest, ScoreBlockIsBitwiseEqualToPerPairScoreForAllModels) {
     for (int64_t user : {int64_t{0}, int64_t{7}, int64_t{29}}) {
       model->ScoreBlock(user, items, block);
       for (size_t r = 0; r < items.size(); ++r) {
-        // EXPECT_EQ, not NEAR: the block path must not change numerics.
         ASSERT_EQ(block[r], model->Score(user, items[r]))
             << "user " << user << " item " << items[r];
       }
@@ -108,12 +158,11 @@ TEST_F(ScoringTest, ScoreBlockIsBitwiseEqualToPerPairScoreForAllModels) {
   }
 }
 
-// Same contract when Score() runs first and fills the lazy eval caches the
-// block path then reads (the reverse fill order of the test above).
+// Same contract when one-row Score calls run first and fill the lazy eval
+// caches the block then reads (the reverse fill order of the test above).
 TEST_F(ScoringTest, ScoreBlockMatchesAfterPerPairWarmedCaches) {
   std::unique_ptr<Recommender> model = Make("SceneRec");
   ASSERT_NE(model, nullptr);
-  ASSERT_TRUE(model->SupportsBlockScoring());
   model->OnEvalBegin();
   const std::vector<int64_t> items = AllItems();
   std::vector<float> expected(items.size());
@@ -138,8 +187,8 @@ TEST_F(ScoringTest, EmptyBlockIsNoOp) {
   }
 }
 
-// Full-ranking metrics are bitwise identical between the per-pair ScoreFn
-// path and the block path, for a batching model and a fallback model.
+// Full-ranking metrics are bitwise identical between the per-pair reference
+// and the block path, for batching models and an autograd-default model.
 TEST_F(ScoringTest, FullRankingMetricsIdenticalAcrossPaths) {
   for (const char* name : {"SceneRec", "BPR-MF", "NGCF", "NCF"}) {
     SCOPED_TRACE(name);
@@ -147,7 +196,7 @@ TEST_F(ScoringTest, FullRankingMetricsIdenticalAcrossPaths) {
     ASSERT_NE(model, nullptr);
     model->OnEvalBegin();
     const RankingMetrics per_pair = EvaluateFullRanking(
-        model->Scorer(), train_graph_, split_.test, 10, nullptr);
+        ReferenceScorer(*model), train_graph_, split_.test, 10, nullptr);
     const RankingMetrics block = EvaluateFullRanking(
         model->BlockScorer(), train_graph_, split_.test, 10, nullptr);
     EXPECT_DOUBLE_EQ(per_pair.hr, block.hr);
@@ -165,7 +214,7 @@ TEST_F(ScoringTest, SampledRankingMetricsIdenticalAcrossPaths) {
     ASSERT_NE(model, nullptr);
     model->OnEvalBegin();
     const RankingMetrics per_pair =
-        EvaluateRanking(model->Scorer(), split_.test, 10, nullptr);
+        EvaluateRanking(ReferenceScorer(*model), split_.test, 10, nullptr);
     model->OnEvalBegin();
     const RankingMetrics block =
         EvaluateRanking(model->BlockScorer(), split_.test, 10, nullptr);
@@ -177,7 +226,7 @@ TEST_F(ScoringTest, SampledRankingMetricsIdenticalAcrossPaths) {
 
 // Parallel block scoring (concurrent ScoreBlock on pool threads, reading
 // the caches PrepareParallelScoring filled) reproduces the serial per-pair
-// metrics bitwise. This is the TSan-critical sweep.
+// reference metrics bitwise. This is the TSan-critical sweep.
 TEST_F(ScoringTest, ParallelBlockFullRankingMatchesSerialPerPair) {
   for (const char* name :
        {"SceneRec", "SceneRec-nosce", "BPR-MF", "GCMC"}) {
@@ -186,7 +235,7 @@ TEST_F(ScoringTest, ParallelBlockFullRankingMatchesSerialPerPair) {
     ASSERT_NE(model, nullptr);
     model->OnEvalBegin();
     const RankingMetrics serial = EvaluateFullRanking(
-        model->Scorer(), train_graph_, split_.test, 10, nullptr);
+        ReferenceScorer(*model), train_graph_, split_.test, 10, nullptr);
     ThreadPool pool(4);
     ASSERT_TRUE(model->PrepareParallelScoring(pool));
     const RankingMetrics parallel = EvaluateFullRanking(
@@ -198,7 +247,7 @@ TEST_F(ScoringTest, ParallelBlockFullRankingMatchesSerialPerPair) {
 }
 
 // Top-N serving: the block path with partial selection returns the exact
-// list of the per-pair path, for every model.
+// list of the per-pair reference, for every model.
 TEST_F(ScoringTest, TopNIdenticalAcrossPathsForAllModels) {
   for (const std::string& name : AllModelNames()) {
     SCOPED_TRACE(name);
@@ -207,7 +256,7 @@ TEST_F(ScoringTest, TopNIdenticalAcrossPathsForAllModels) {
     model->OnEvalBegin();
     for (int64_t user : {int64_t{0}, int64_t{11}}) {
       const auto per_pair =
-          TopNRecommendations(model->Scorer(), train_graph_, user, 10);
+          TopNRecommendations(ReferenceScorer(*model), train_graph_, user, 10);
       const auto block =
           TopNRecommendations(model->BlockScorer(), train_graph_, user, 10);
       ASSERT_EQ(per_pair.size(), block.size());
@@ -230,7 +279,7 @@ TEST_F(ScoringTest, FullyMaskedCatalogEdgeCase) {
   UserItemGraph graph = UserItemGraph::Build(1, 5, interactions);
   std::vector<EvalInstance> instances(1);
   instances[0] = {0, 3, {}};
-  BlockScoreFn score = BlockScorerFromPairs(
+  const BlockScoreFn score = testing::PerPair(
       [](int64_t, int64_t item) { return static_cast<float>(item); });
   const RankingMetrics m = EvaluateFullRanking(score, graph, instances, 10);
   EXPECT_DOUBLE_EQ(m.hr, 1.0);

@@ -2,11 +2,15 @@
 #define SCENEREC_TESTS_TEST_UTIL_H_
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "eval/evaluator.h"
 #include "tensor/grad_check.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -38,6 +42,17 @@ inline void ExpectVectorNear(const std::vector<float>& got,
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got[i], want[i], tol) << "at index " << i;
   }
+}
+
+/// Lifts a per-pair score function `pair(user, item) -> float` into a
+/// BlockScoreFn that scores every candidate independently: the stand-in
+/// scorer for evaluator and Top-N tests.
+template <typename PairFn>
+BlockScoreFn PerPair(PairFn pair) {
+  return [pair = std::move(pair)](int64_t user, std::span<const int64_t> items,
+                                  std::span<float> out) {
+    for (size_t r = 0; r < items.size(); ++r) out[r] = pair(user, items[r]);
+  };
 }
 
 }  // namespace testing

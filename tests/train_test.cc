@@ -1,6 +1,8 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <span>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -131,7 +133,7 @@ TEST_F(TrainTest, ModelSelectionRestoresBestWeights) {
   // validation set now must reproduce best_validation.
   model.OnEvalBegin();
   RankingMetrics revalidated =
-      EvaluateRanking(model.Scorer(), split_.validation, config.eval_k);
+      EvaluateRanking(model.BlockScorer(), split_.validation, config.eval_k);
   EXPECT_NEAR(revalidated.ndcg, result->best_validation.ndcg, 1e-9);
   EXPECT_NEAR(revalidated.hr, result->best_validation.hr, 1e-9);
 }
@@ -205,7 +207,7 @@ TEST_F(TrainTest, CheckpointWrittenAtBestEpoch) {
   ASSERT_TRUE(LoadCheckpoint(restored, restored.name(), path_template).ok());
   restored.OnEvalBegin();
   RankingMetrics test =
-      EvaluateRanking(restored.Scorer(), split_.test, config.eval_k);
+      EvaluateRanking(restored.BlockScorer(), split_.test, config.eval_k);
   EXPECT_NEAR(test.ndcg, result->test.ndcg, 1e-9);
   EXPECT_NEAR(test.hr, result->test.hr, 1e-9);
   ::remove(path_template);
@@ -220,7 +222,7 @@ TEST_F(TrainTest, FullRankingProtocolRunsOnTrainedModel) {
   auto result = TrainAndEvaluate(model, split_, train_graph_, config);
   ASSERT_TRUE(result.ok());
   model.OnEvalBegin();
-  RankingMetrics full = EvaluateFullRanking(model.Scorer(), train_graph_,
+  RankingMetrics full = EvaluateFullRanking(model.BlockScorer(), train_graph_,
                                             split_.test, 10);
   EXPECT_EQ(full.num_instances, static_cast<int64_t>(split_.test.size()));
   // Full ranking against all 150 items is strictly harder than ranking
@@ -279,7 +281,10 @@ class NanLossModel : public Recommender {
                                    : static_cast<float>(batch.size());
     return Scale(param_, factor);
   }
-  float Score(int64_t, int64_t) override { return 0.0f; }
+  void ScoreRows(std::span<const int64_t>, std::span<const int64_t>,
+                 std::span<float> out) override {
+    std::fill(out.begin(), out.end(), 0.0f);
+  }
 
  private:
   int64_t finite_batches_;
@@ -301,8 +306,10 @@ class NanScoreModel : public Recommender {
   Tensor BatchLoss(std::span<const BprTriple> batch) override {
     return Scale(param_, static_cast<float>(batch.size()));
   }
-  float Score(int64_t, int64_t) override {
-    return std::numeric_limits<float>::quiet_NaN();
+  void ScoreRows(std::span<const int64_t>, std::span<const int64_t>,
+                 std::span<float> out) override {
+    std::fill(out.begin(), out.end(),
+              std::numeric_limits<float>::quiet_NaN());
   }
 
  private:
@@ -386,9 +393,9 @@ TEST_F(TrainTest, EarlyStopRestoresExactBestEpochWeights) {
   ASSERT_TRUE(LoadCheckpoint(restored, restored.name(), path_template).ok());
   restored.OnEvalBegin();
   RankingMetrics val =
-      EvaluateRanking(restored.Scorer(), split_.validation, config.eval_k);
+      EvaluateRanking(restored.BlockScorer(), split_.validation, config.eval_k);
   RankingMetrics test =
-      EvaluateRanking(restored.Scorer(), split_.test, config.eval_k);
+      EvaluateRanking(restored.BlockScorer(), split_.test, config.eval_k);
   EXPECT_DOUBLE_EQ(val.ndcg, result_a->best_validation.ndcg);
   EXPECT_DOUBLE_EQ(test.ndcg, result_a->test.ndcg);
   EXPECT_DOUBLE_EQ(test.hr, result_a->test.hr);

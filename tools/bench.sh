@@ -9,13 +9,13 @@
 # BENCH_telemetry.json holds the telemetry-enabled vs -disabled epoch times
 # (BM_TrainEpochTelemetry/1 vs /0) and BENCH_trace.json the same pair for
 # span tracing (BM_TrainEpochTrace); the disabled-mode overhead budget for
-# both layers is <1%. BENCH_scoring.json pairs the per-pair and block
-# scoring paths on full ranking and Top-N (docs/serving.md) — the
-# *PerPair/*Block ratio is the batching speedup. BENCH_snapshot.json pairs
-# the copying checkpoint load against the zero-copy mmap open
-# (BM_CheckpointLoadCopy vs BM_SnapshotMmapOpen) plus the crash-safe write
-# throughput of the snapshot store. BENCH_retrieval.json pairs two-stage
-# Top-N serving (BM_TopNTwoStage{Exact,Ivf,IvfSq8}, docs/retrieval.md)
+# both layers is <1%. BENCH_scoring.json times block scoring on full
+# ranking and Top-N for SceneRec and BPR-MF (docs/serving.md).
+# BENCH_snapshot.json pairs the copying checkpoint load against the
+# zero-copy mmap open (BM_CheckpointLoadCopy vs BM_SnapshotMmapOpen) plus
+# the crash-safe write throughput of the snapshot store.
+# BENCH_retrieval.json pairs two-stage Top-N serving
+# (BM_TopNTwoStage{Exact,Ivf,IvfSq8}, docs/retrieval.md)
 # against the full-catalog block sweep (BM_TopNFullCatalogBlock) on a 50k
 # catalog — the IVF rows carry a recall_at_100 counter vs the exact backend
 # — plus one-time index-build costs (BM_IndexBuild*). BENCH_serve.json is

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Correctness gate for the parallel execution layer, the kernel layer and
 # the persistent parameter store:
-#   1. regular build + full test suite, then snapshot_inspect --selftest
-#      (train -> versioned snapshot write -> zero-copy open -> bitwise
-#      score check -> hot swap) and scenerec_serve --selftest (concurrent
-#      clients through the batched admission loop, bitwise-checked against
-#      per-request serving, with a hot swap under live traffic, plus a
-#      live scrape of its own stats socket mid-traffic) and
-#      scenerec_stat --selftest (a daemon with the observability plane on:
-#      windowed percentiles that move with load, healthz/SLO transitions,
-#      every socket verb), all against freshly trained mini-models
+#   1. regular build + full test suite; ctest includes the tool selftests
+#      (tools/CMakeLists.txt): snapshot_inspect --selftest (train ->
+#      versioned snapshot write -> zero-copy open -> bitwise score check ->
+#      hot swap), scenerec_serve --selftest (concurrent clients through the
+#      batched admission loop, bitwise-checked against per-request serving,
+#      with a hot swap under live traffic, plus a live scrape of its own
+#      stats socket mid-traffic) and scenerec_stat --selftest (a daemon with
+#      the observability plane on: windowed percentiles that move with
+#      load, healthz/SLO transitions, every socket verb), all against
+#      freshly trained mini-models
 #   2. ThreadSanitizer build (-DSCENEREC_SANITIZE=thread) + the tests that
 #      exercise concurrency (ThreadPool, sharded training, parallel eval,
 #      the serving daemon)
@@ -46,23 +47,6 @@ configure build
 cmake --build build
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "==> stage 1: snapshot store end-to-end selftest"
-# Full persistent-store chain against a freshly trained mini-model; exits
-# non-zero on any score drift, versioning bug, or swap hiccup.
-build/tools/snapshot_inspect --selftest
-
-echo "==> stage 1: serving daemon end-to-end selftest"
-# Trains a mini-model, then drives the batched admission loop from
-# concurrent clients (full-catalog and two-stage retrieval modes, plus one
-# hot swap under live traffic) and bitwise-compares every response against
-# the per-request library path.
-build/tools/scenerec_serve --selftest
-
-echo "==> stage 1: stats CLI end-to-end selftest"
-# Spins up a daemon with the stats socket enabled, drives traffic, and
-# checks every scrape verb plus the CLI's parser and table renderer.
-build/tools/scenerec_stat --selftest
-
 echo "==> stage 2: ThreadSanitizer build"
 configure build-tsan -DSCENEREC_SANITIZE=thread
 cmake --build build-tsan --target parallel_test eval_test scoring_test train_test telemetry_test trace_test snapshot_test retrieval_test serve_test common_test repr_cache_test scenerec_serve scenerec_stat
@@ -72,8 +56,8 @@ echo "==> stage 2: parallel tests under TSan"
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 build-tsan/tests/parallel_test
 build-tsan/tests/eval_test
-# Concurrent ScoreBlock sweeps over the prefilled eval caches — the block
-# path's version of the parallel-eval pure-read contract.
+# Concurrent block sweeps over the prefilled eval caches — the ScoreRows
+# version of the parallel-eval pure-read contract.
 build-tsan/tests/scoring_test
 build-tsan/tests/train_test
 # The telemetry merge path is the TSan-critical one: per-thread slab writers
@@ -122,7 +106,7 @@ build-asan/tests/train_test --gtest_filter='TrainTest.NonFinite*:TrainTest.Early
 
 echo "==> stage 3: block-scoring equivalence under ASan+UBSan"
 # Span/subspan chunking arithmetic and the gather-into-matrix copies in
-# every model's ScoreBlock; UBSan additionally checks the partial-selection
+# every model's ScoreRows; UBSan additionally checks the partial-selection
 # comparator for strict-weak-ordering misuse symptoms (invalid indexing).
 build-asan/tests/scoring_test
 

@@ -388,10 +388,6 @@ int SelfTest(std::string dir) {
         !r.ok()) {
       return Fail("scenerec train", r.status());
     }
-    if (!scene_model->SupportsCrossUserScoring()) {
-      std::fprintf(stderr, "FAIL SceneRec lost its ScoreRows override\n");
-      return 1;
-    }
     scene_model->OnEvalBegin();
     std::vector<std::vector<Recommendation>> expected(
         static_cast<size_t>(num_users));

@@ -420,15 +420,10 @@ int Main(int argc, char** argv) {
   flags.AddInt64("timeout_ms", 5000, "per-request socket timeout");
   flags.AddBool("selftest", false,
                 "run the self-contained end-to-end check and exit");
-  flags.AddBool("help", false, "show usage");
   const Status status = flags.Parse(argc, argv);
   if (!status.ok()) {
     std::cerr << status.ToString() << "\n" << flags.Help();
     return 1;
-  }
-  if (flags.GetBool("help")) {
-    std::cout << flags.Help();
-    return 0;
   }
   if (flags.GetBool("selftest")) return SelfTest();
 

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/rng.h"
 #include "data/split.h"
 #include "data/synthetic.h"
@@ -384,38 +385,34 @@ int SelfTest(std::string dir) {
 }  // namespace scenerec
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  if (args.empty()) {
-    std::fprintf(stderr,
-                 "usage: snapshot_inspect [--stats] <path.srsnap>\n"
-                 "       snapshot_inspect --export-index[=exact|exact_sq8|"
-                 "ivf|ivf_sq8] <path.srsnap>\n"
-                 "       snapshot_inspect --selftest [dir]\n");
+  scenerec::FlagParser flags;
+  flags.AddBool("stats", false,
+                "also print per-tensor value stats (faults the pages in)");
+  flags.AddImplicitString("export-index", "", "ivf",
+                          "build a retrieval index off the mapped BPR-MF item "
+                          "table: exact|exact_sq8|ivf|ivf_sq8");
+  flags.AddBool("selftest", false,
+                "run the end-to-end check in [dir] (default: a fresh temp "
+                "dir); exit 0 iff PASS");
+  const std::string usage =
+      "usage: snapshot_inspect [--stats] <path.srsnap>\n"
+      "       snapshot_inspect --export-index[=kind] <path.srsnap>\n"
+      "       snapshot_inspect --selftest [dir]\n";
+  if (scenerec::Status s = flags.Parse(argc, argv); !s.ok()) {
+    std::fprintf(stderr, "%s\n%s%s", s.ToString().c_str(), usage.c_str(),
+                 flags.Help().c_str());
     return 2;
   }
-  if (args[0] == "--selftest") {
-    return scenerec::SelfTest(args.size() > 1 ? args[1] : "");
+  const std::vector<std::string>& args = flags.positional();
+  if (flags.GetBool("selftest")) {
+    return scenerec::SelfTest(args.empty() ? "" : args[0]);
   }
-  bool stats = false;
-  bool export_index = false;
-  std::string kind = "ivf";
-  std::string path;
-  for (const std::string& arg : args) {
-    if (arg == "--stats") {
-      stats = true;
-    } else if (arg == "--export-index") {
-      export_index = true;
-    } else if (arg.rfind("--export-index=", 0) == 0) {
-      export_index = true;
-      kind = arg.substr(std::string("--export-index=").size());
-    } else {
-      path = arg;
-    }
-  }
-  if (path.empty()) {
-    std::fprintf(stderr, "error: no snapshot path given\n");
+  if (args.size() != 1) {
+    std::fprintf(stderr, "error: expected one snapshot path\n%s%s",
+                 usage.c_str(), flags.Help().c_str());
     return 2;
   }
-  if (export_index) return scenerec::ExportIndex(path, kind);
-  return scenerec::Inspect(path, stats);
+  const std::string& kind = flags.GetString("export-index");
+  if (!kind.empty()) return scenerec::ExportIndex(args[0], kind);
+  return scenerec::Inspect(args[0], flags.GetBool("stats"));
 }
