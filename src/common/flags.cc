@@ -195,7 +195,7 @@ const std::string& FlagParser::GetString(const std::string& name) const {
 
 std::string FlagParser::Help() const {
   std::ostringstream out;
-  out << "Flags:\n";
+  out << usage_ << "Flags:\n";
   for (const auto& [name, flag] : flags_) {
     out << "  --" << name;
     switch (flag.type) {

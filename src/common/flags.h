@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -23,6 +24,9 @@ namespace scenerec {
 class FlagParser {
  public:
   FlagParser() = default;
+  /// `usage` heads Help(), before the flag list: the binary's invocation
+  /// forms, positional arguments included ("usage: tool <path>\n").
+  explicit FlagParser(std::string usage) : usage_(std::move(usage)) {}
 
   FlagParser(const FlagParser&) = delete;
   FlagParser& operator=(const FlagParser&) = delete;
@@ -60,7 +64,8 @@ class FlagParser {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Renders a usage/help block listing all registered flags.
+  /// Renders the usage block: the usage text given at construction, then
+  /// every registered flag.
   std::string Help() const;
 
  private:
@@ -82,6 +87,7 @@ class FlagParser {
                        const std::string& text);
   const Flag& GetFlag(const std::string& name, Type type) const;
 
+  std::string usage_;
   std::map<std::string, Flag> flags_;
   std::vector<std::string> positional_;
 };

@@ -1,5 +1,6 @@
 #include "eval/evaluator.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
@@ -8,6 +9,7 @@
 #include "common/check.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
+#include "eval/top_n.h"
 
 namespace scenerec {
 
@@ -156,7 +158,6 @@ RankingMetrics EvaluateFullRanking(const BlockScoreFn& score,
   SCENEREC_TRACE_SPAN_F("eval/full_ranking", "eval", trace::Floor::kNone,
                         "instances=%zu k=%lld", instances.size(),
                         static_cast<long long>(k));
-  const int64_t num_items = train_graph.num_items();
   std::vector<std::array<double, 3>> per(instances.size());
   // Each instance scores the whole catalog — plenty of work per index.
   ForEachInstance(
@@ -169,13 +170,15 @@ RankingMetrics EvaluateFullRanking(const BlockScoreFn& score,
           // Masking as a candidate-list build step: the positive leads,
           // followed by every item the user has NOT interacted with during
           // training (standard masking; the sampled negatives are ignored).
-          candidates.clear();
-          candidates.reserve(static_cast<size_t>(num_items));
-          candidates.push_back(instance.positive_item);
-          for (int64_t item = 0; item < num_items; ++item) {
-            if (item == instance.positive_item) continue;
-            if (train_graph.HasInteraction(instance.user, item)) continue;
-            candidates.push_back(item);
+          UninteractedItems(train_graph, instance.user, &candidates);
+          const auto positive =
+              std::lower_bound(candidates.begin(), candidates.end(),
+                               instance.positive_item);
+          if (positive != candidates.end() &&
+              *positive == instance.positive_item) {
+            std::rotate(candidates.begin(), positive, positive + 1);
+          } else {
+            candidates.insert(candidates.begin(), instance.positive_item);
           }
           scores.resize(candidates.size());
           // Chunked block scoring; above/tied counting is order-independent

@@ -92,8 +92,13 @@ void UninteractedItems(const UserItemGraph& train_graph, int64_t user,
   SCENEREC_CHECK(out != nullptr);
   out->clear();
   out->reserve(static_cast<size_t>(train_graph.num_items()));
+  // One merge walk against the sorted history: O(items + degree), no
+  // per-item search.
+  const std::span<const int64_t> history = train_graph.ItemsOfUser(user);
+  size_t h = 0;
   for (int64_t item = 0; item < train_graph.num_items(); ++item) {
-    if (train_graph.HasInteraction(user, item)) continue;
+    while (h < history.size() && history[h] < item) ++h;
+    if (h < history.size() && history[h] == item) continue;
     out->push_back(item);
   }
 }

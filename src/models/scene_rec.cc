@@ -7,6 +7,7 @@
 #include "common/repr_cache.h"
 #include "common/trace.h"
 #include "models/neighbor_util.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace scenerec {
@@ -72,6 +73,9 @@ void SceneRec::OnEvalBegin() {
   ClearStepCaches();
   eval_user_cache_.clear();
   eval_item_cache_.clear();
+  split_ = SplitRatingParams();
+  eval_item_half_.clear();
+  eval_item_half_ready_.clear();
 }
 
 Tensor SceneRec::CategoryFuseInput(int64_t category, StepCaches& caches,
@@ -279,8 +283,65 @@ Tensor SceneRec::GeneralItemReprRows(std::span<const int64_t> items,
 }
 
 Tensor SceneRec::Rating(const Tensor& user_repr, const Tensor& item_repr) {
+  if (NoGradGuard::enabled()) {
+    PrepareSplitRating();
+    const int64_t d = config_.embedding_dim;
+    std::vector<float> halves(static_cast<size_t>(2 * d));
+    kernels::Gemv(split_.w_user.data(), d, d, user_repr.value().data(),
+                  halves.data());
+    WriteItemHalf(item_repr.value().data(), halves.data() + d);
+    return Tensor::Scalar(SplitRating(halves.data(), halves.data() + d));
+  }
   // Eq. (14).
   return Reshape(rating_mlp_.Forward(Concat({user_repr, item_repr})), Shape());
+}
+
+void SceneRec::PrepareSplitRating() {
+  if (!split_.w_user.empty()) return;
+  const int64_t d = config_.embedding_dim;
+  const Linear& hidden = rating_mlp_.layer(0);
+  const Linear& output = rating_mlp_.layer(1);
+  const float* w = hidden.weight().value().data();  // [d, 2d]
+  split_.w_user.resize(static_cast<size_t>(d * d));
+  split_.w_item.resize(static_cast<size_t>(d * d));
+  for (int64_t k = 0; k < d; ++k) {
+    std::copy(w + k * 2 * d, w + k * 2 * d + d, split_.w_user.data() + k * d);
+    std::copy(w + k * 2 * d + d, w + (k + 1) * 2 * d,
+              split_.w_item.data() + k * d);
+  }
+  const float* w2 = output.weight().value().data();  // [1, d]
+  split_.w_out.assign(w2, w2 + d);
+  split_.b_out = output.bias().value()[0];
+  const int64_t num_items = user_item_->num_items();
+  eval_item_half_.resize(static_cast<size_t>(num_items * d));
+  eval_item_half_ready_.assign(static_cast<size_t>(num_items), 0);
+}
+
+void SceneRec::WriteItemHalf(const float* item_repr, float* out) const {
+  const int64_t d = config_.embedding_dim;
+  kernels::Gemv(split_.w_item.data(), d, d, item_repr, out);
+  const auto& b = rating_mlp_.layer(0).bias().value();
+  for (int64_t k = 0; k < d; ++k) out[k] += b[static_cast<size_t>(k)];
+}
+
+const float* SceneRec::ItemHalf(int64_t item) {
+  float* row = eval_item_half_.data() + item * config_.embedding_dim;
+  uint8_t& ready = eval_item_half_ready_[static_cast<size_t>(item)];
+  if (ready == 0) {
+    const Tensor repr = GeneralItemRepr(item, step_caches_, nullptr);
+    WriteItemHalf(repr.value().data(), row);
+    ready = 1;
+  }
+  return row;
+}
+
+float SceneRec::SplitRating(const float* user_half,
+                            const float* item_half) const {
+  return kernels::AddActDot(user_half, item_half, split_.w_out.data(),
+                            config_.embedding_dim,
+                            ToFusedAct(config_.activation),
+                            kernels::kLeakySlope) +
+         split_.b_out;
 }
 
 Tensor SceneRec::ScoreForTraining(int64_t user, int64_t item) {
@@ -397,9 +458,13 @@ bool SceneRec::PrepareParallelScoring(ThreadPool& pool) {
   if (eval_item_cache_.empty()) {
     eval_item_cache_.resize(static_cast<size_t>(num_items));
   }
+  // Each chunk also writes its rows' item halves P; the split parameters
+  // are built here, before the sweep, so workers only read them.
+  PrepareSplitRating();
   pool.ParallelFor(
       num_items, /*grain=*/32, [this](int64_t begin, int64_t end) {
         NoGradGuard no_grad;
+        const int64_t d = config_.embedding_dim;
         std::vector<int64_t> items(static_cast<size_t>(end - begin));
         for (int64_t i = begin; i < end; ++i) {
           items[static_cast<size_t>(i - begin)] = i;
@@ -407,6 +472,9 @@ bool SceneRec::PrepareParallelScoring(ThreadPool& pool) {
         Tensor rows = GeneralItemReprRows(items, step_caches_, nullptr);
         for (int64_t i = begin; i < end; ++i) {
           eval_item_cache_[static_cast<size_t>(i)] = Row(rows, i - begin);
+          WriteItemHalf(rows.value().data() + (i - begin) * d,
+                        eval_item_half_.data() + i * d);
+          eval_item_half_ready_[static_cast<size_t>(i)] = 1;
         }
       });
   // With a demand-paged cache attached the O(users) sweep is skipped
@@ -442,36 +510,25 @@ void SceneRec::ScoreRows(std::span<const int64_t> users,
   SCENEREC_CHECK_EQ(users.size(), out.size());
   if (users.empty()) return;
   NoGradGuard no_grad;
-  // Representations come from the eval caches: pre-filled by
+  PrepareSplitRating();
+  // Representations and item halves come from the eval memos: pre-filled by
   // PrepareParallelScoring (parallel sweeps, pure reads here) or filled
-  // lazily on first use (serial sweeps), gathered across ALL rows into one
-  // [N, 2d] matrix.
+  // lazily on first use (serial sweeps).
   const int64_t d = config_.embedding_dim;
-  const int64_t rows = static_cast<int64_t>(users.size());
-  std::vector<float> xs(static_cast<size_t>(rows * 2 * d));
+  std::vector<float> user_half(static_cast<size_t>(d));
   // Rows arrive grouped per request (runs of equal user), so resolve the
-  // user repr once per run — with a demand-paged cache attached this is
-  // what keeps lookups O(requests), not O(rows).
+  // user repr and W_u·m_u once per run — with a demand-paged cache attached
+  // this is what keeps lookups O(requests), not O(rows).
   int64_t run_user = -1;
-  Tensor user_repr;
-  for (int64_t r = 0; r < rows; ++r) {
-    if (users[static_cast<size_t>(r)] != run_user) {
-      run_user = users[static_cast<size_t>(r)];
-      user_repr = UserRepr(run_user, nullptr);
+  for (size_t r = 0; r < users.size(); ++r) {
+    if (users[r] != run_user) {
+      run_user = users[r];
+      const Tensor user_repr = UserRepr(run_user, nullptr);
+      kernels::Gemv(split_.w_user.data(), d, d, user_repr.value().data(),
+                    user_half.data());
     }
-    const Tensor item_repr =
-        GeneralItemRepr(items[static_cast<size_t>(r)], step_caches_, nullptr);
-    float* dst = xs.data() + r * 2 * d;
-    const float* urow = user_repr.value().data();
-    const float* irow = item_repr.value().data();
-    for (int64_t c = 0; c < d; ++c) dst[c] = urow[c];
-    for (int64_t c = 0; c < d; ++c) dst[d + c] = irow[c];
+    out[r] = SplitRating(user_half.data(), ItemHalf(items[r]));
   }
-  // Eq. (14) once per call: [N, 2d] -> [N, 1].
-  Tensor scores = rating_mlp_.ForwardRows(
-      Tensor::FromVector(Shape({rows, 2 * d}), std::move(xs)));
-  const float* src = scores.value().data();
-  for (int64_t r = 0; r < rows; ++r) out[static_cast<size_t>(r)] = src[r];
 }
 
 RetrievalEmbeddings SceneRec::ExportItemEmbeddings() {

@@ -72,19 +72,21 @@ class SceneRec : public Recommender {
                         Rng& rng) override;
 
   /// Precomputes every eval memo in dependency stages (scene sums ->
-  /// category reprs -> item reprs -> user reprs), each stage parallel over
-  /// disjoint cache slots, then returns true: scoring becomes a pure read
-  /// plus a thread-local rating MLP forward.
+  /// category reprs -> item reprs and item halves -> user reprs), each
+  /// stage parallel over disjoint cache slots, then returns true: scoring
+  /// becomes a pure read plus the per-row split eq. (14).
   bool PrepareParallelScoring(ThreadPool& pool) override;
 
   // -- Scoring -------------------------------------------------------------
-  // Gathers the memoized representations of EVERY (users[r], items[r]) pair
-  // into one [N, 2d] matrix and runs eq. (14) once through
-  // rating_mlp_.ForwardRows — a row-batched GEMM instead of N per-pair
-  // autograd forwards, shared by every user in a coalesced serving batch.
-  // Bitwise equal to the per-pair reference because ForwardRows row r is
-  // bitwise equal to Forward(row r) (docs/kernels.md) and the gather is a
-  // pure copy.
+  // Eq. (14) with its first layer split (docs/models.md#split-rating):
+  // W·[m_u ‖ m_i] + b = W_u·m_u + (W_i·m_i + b). The item half P_i =
+  // W_i·m_i + b is memoized per item beside the item representation, W_u·m_u
+  // runs once per run of equal users, and each row is one
+  // kernels::AddActDot plus the output bias. Row r depends only on
+  // (users[r], items[r]), so batching cannot change a score, and the
+  // eval-mode ScoreForTraining takes the same steps: the two agree
+  // bitwise. The grad-mode forward keeps the concat form and agrees within
+  // float rounding.
   void ScoreRows(std::span<const int64_t> users,
                  std::span<const int64_t> items, std::span<float> out) override;
 
@@ -113,6 +115,9 @@ class SceneRec : public Recommender {
   void WriteRetrievalQuery(int64_t user, std::span<float> out) override;
 
   const SceneRecConfig& config() const { return config_; }
+
+  /// The eq. (14) rating MLP ([2d -> d, act -> 1]).
+  const Mlp& rating_mlp() const { return rating_mlp_; }
 
   /// Average scene-based attention score between `item` and the items the
   /// user interacted with (the quantity displayed in Figure 3's case
@@ -202,8 +207,24 @@ class SceneRec : public Recommender {
   Tensor ShardLoss(std::span<const BprTriple> triples, StepCaches& caches,
                    Rng& rng);
 
-  /// r'_pq — eq. (14).
+  /// r'_pq — eq. (14). Grad mode: the concat-form MLP forward. Eval mode:
+  /// the split steps of ScoreRows, with both halves computed afresh from
+  /// the two representations.
   Tensor Rating(const Tensor& user_repr, const Tensor& item_repr);
+
+  /// Builds `split_` from the current rating MLP parameters and sizes the
+  /// item-half memo. A no-op until OnEvalBegin drops them again.
+  void PrepareSplitRating();
+
+  /// out[0..d) = W_i·item_repr + b: the one formula behind every P row.
+  void WriteItemHalf(const float* item_repr, float* out) const;
+
+  /// P row of `item`, filled on first use, or read as filled by
+  /// PrepareParallelScoring.
+  const float* ItemHalf(int64_t item);
+
+  /// w2·act(user_half + item_half) + b2: eq. (14) after the split layer.
+  float SplitRating(const float* user_half, const float* item_half) const;
 
   const UserItemGraph* user_item_;
   const SceneGraph* scene_;
@@ -234,6 +255,19 @@ class SceneRec : public Recommender {
   // up-front by PrepareParallelScoring and then only read.
   std::vector<Tensor> eval_user_cache_;
   std::vector<Tensor> eval_item_cache_;
+
+  // The split eq. (14), eval-sweep scoped like the memos above: contiguous
+  // copies of the rating MLP's parameters (built by PrepareSplitRating),
+  // and the [items, d] item-half block P with a filled flag per row.
+  struct SplitRatingParams {
+    std::vector<float> w_user;  // W_u [d, d]: layer-0 weight columns [0, d)
+    std::vector<float> w_item;  // W_i [d, d]: layer-0 weight columns [d, 2d)
+    std::vector<float> w_out;   // w2 [d]: layer-1 weight
+    float b_out = 0.0f;         // b2
+  };
+  SplitRatingParams split_;
+  std::vector<float> eval_item_half_;
+  std::vector<uint8_t> eval_item_half_ready_;
 
   // Demand-paged user-representation store (see AttachUserReprCache).
   // While attached, eval_user_cache_ stays empty and every eval-mode

@@ -1,6 +1,7 @@
 #ifndef SCENEREC_NN_ACTIVATION_H_
 #define SCENEREC_NN_ACTIVATION_H_
 
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -32,6 +33,23 @@ inline Tensor ApplyActivation(Activation activation, const Tensor& x) {
       return LeakyRelu(x);
   }
   return x;
+}
+
+/// The kernel-level twin of `activation` (tensor/ cannot depend on nn/).
+inline kernels::FusedAct ToFusedAct(Activation activation) {
+  switch (activation) {
+    case Activation::kNone:
+      return kernels::FusedAct::kNone;
+    case Activation::kSigmoid:
+      return kernels::FusedAct::kSigmoid;
+    case Activation::kTanh:
+      return kernels::FusedAct::kTanh;
+    case Activation::kRelu:
+      return kernels::FusedAct::kRelu;
+    case Activation::kLeakyRelu:
+      return kernels::FusedAct::kLeakyRelu;
+  }
+  return kernels::FusedAct::kNone;
 }
 
 /// Human-readable activation name for logs and configs.

@@ -3,25 +3,6 @@
 #include "tensor/ops.h"
 
 namespace scenerec {
-namespace {
-
-kernels::FusedAct ToFusedAct(Activation activation) {
-  switch (activation) {
-    case Activation::kNone:
-      return kernels::FusedAct::kNone;
-    case Activation::kSigmoid:
-      return kernels::FusedAct::kSigmoid;
-    case Activation::kTanh:
-      return kernels::FusedAct::kTanh;
-    case Activation::kRelu:
-      return kernels::FusedAct::kRelu;
-    case Activation::kLeakyRelu:
-      return kernels::FusedAct::kLeakyRelu;
-  }
-  return kernels::FusedAct::kNone;
-}
-
-}  // namespace
 
 Linear::Linear(int64_t in_dim, int64_t out_dim, Activation activation,
                Rng& rng)

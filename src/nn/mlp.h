@@ -36,6 +36,9 @@ class Mlp : public Module {
   int64_t in_dim() const { return layers_.front().in_dim(); }
   int64_t out_dim() const { return layers_.back().out_dim(); }
   size_t num_layers() const { return layers_.size(); }
+  /// Layer `i` (0 = input side); read-only, for eval-time rewrites of the
+  /// stack such as SceneRec's split eq. (14).
+  const Linear& layer(size_t i) const { return layers_.at(i); }
 
  private:
   std::vector<Linear> layers_;

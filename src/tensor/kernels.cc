@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define SCENEREC_KERNELS_X86 1
@@ -41,28 +42,39 @@ const telemetry::Counter t_accum_calls =
     telemetry::RegisterCounter("kernels/backward_accum_calls");
 const telemetry::Counter t_flops = telemetry::RegisterCounter("kernels/flops");
 
+// One definition per activation, shared by ActApply and the hoisted
+// AddActDot loops, so the two cannot round differently.
+inline float SigmoidOf(float x) {
+  // Branch on sign for numerical stability at large |x| (same formula as
+  // the standalone Sigmoid op, so fused and composed paths agree).
+  if (x >= 0.0f) {
+    const float z = std::exp(-x);
+    return 1.0f / (1.0f + z);
+  }
+  const float z = std::exp(x);
+  return z / (1.0f + z);
+}
+
+inline float ReluOf(float x) { return x > 0.0f ? x : 0.0f; }
+
+inline float LeakyReluOf(float x, float slope) {
+  return x > 0.0f ? x : slope * x;
+}
+
 }  // namespace
 
 float ActApply(FusedAct act, float x, float leaky_slope) {
   switch (act) {
     case FusedAct::kNone:
       return x;
-    case FusedAct::kSigmoid: {
-      // Branch on sign for numerical stability at large |x| (same formula as
-      // the standalone Sigmoid op, so fused and composed paths agree).
-      if (x >= 0.0f) {
-        const float z = std::exp(-x);
-        return 1.0f / (1.0f + z);
-      }
-      const float z = std::exp(x);
-      return z / (1.0f + z);
-    }
+    case FusedAct::kSigmoid:
+      return SigmoidOf(x);
     case FusedAct::kTanh:
       return std::tanh(x);
     case FusedAct::kRelu:
-      return x > 0.0f ? x : 0.0f;
+      return ReluOf(x);
     case FusedAct::kLeakyRelu:
-      return x > 0.0f ? x : leaky_slope * x;
+      return LeakyReluOf(x, leaky_slope);
   }
   return x;
 }
@@ -106,6 +118,50 @@ float Dot(const float* SCENEREC_RESTRICT a, const float* SCENEREC_RESTRICT b,
                 ((acc[4] + acc[5]) + (acc[6] + acc[7]));
   for (; i < n; ++i) total += a[i] * b[i];
   return total;
+}
+
+namespace {
+
+/// AddActDot's body for one activation: Dot's lane bank, reduction tree
+/// and ascending tail, with each product's right factor act(a[i] + b[i]).
+template <typename Act>
+float AddActDotImpl(const float* SCENEREC_RESTRICT a,
+                    const float* SCENEREC_RESTRICT b,
+                    const float* SCENEREC_RESTRICT w, int64_t n, Act act) {
+  float acc[kLanes] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
+  int64_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (int64_t l = 0; l < kLanes; ++l) {
+      acc[l] += w[i + l] * act(a[i + l] + b[i + l]);
+    }
+  }
+  float total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+                ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+  for (; i < n; ++i) total += w[i] * act(a[i] + b[i]);
+  return total;
+}
+
+}  // namespace
+
+float AddActDot(const float* SCENEREC_RESTRICT a,
+                const float* SCENEREC_RESTRICT b,
+                const float* SCENEREC_RESTRICT w, int64_t n, FusedAct act,
+                float leaky_slope) {
+  switch (act) {
+    case FusedAct::kNone:
+      return AddActDotImpl(a, b, w, n, [](float x) { return x; });
+    case FusedAct::kSigmoid:
+      return AddActDotImpl(a, b, w, n, [](float x) { return SigmoidOf(x); });
+    case FusedAct::kTanh:
+      return AddActDotImpl(a, b, w, n, [](float x) { return std::tanh(x); });
+    case FusedAct::kRelu:
+      return AddActDotImpl(a, b, w, n, [](float x) { return ReluOf(x); });
+    case FusedAct::kLeakyRelu:
+      return AddActDotImpl(a, b, w, n, [leaky_slope](float x) {
+        return LeakyReluOf(x, leaky_slope);
+      });
+  }
+  return 0.0f;
 }
 
 void Axpy(float alpha, const float* SCENEREC_RESTRICT x,
@@ -495,6 +551,15 @@ float DotRef(const float* a, const float* b, int64_t n) {
   float acc = 0.0f;
   for (int64_t i = 0; i < n; ++i) acc += a[i] * b[i];
   return acc;
+}
+
+float AddActDotRef(const float* a, const float* b, const float* w, int64_t n,
+                   FusedAct act, float leaky_slope) {
+  std::vector<float> h(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    h[static_cast<size_t>(i)] = ActApply(act, a[i] + b[i], leaky_slope);
+  }
+  return Dot(w, h.data(), n);
 }
 
 void AxpyRef(float alpha, const float* x, float* y, int64_t n) {

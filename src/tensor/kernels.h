@@ -37,6 +37,12 @@ namespace kernels {
 /// enum onto this one.
 enum class FusedAct { kNone, kSigmoid, kTanh, kRelu, kLeakyRelu };
 
+/// Negative-side slope of kLeakyRelu everywhere it is not given explicitly:
+/// the LeakyRelu/LinearAct/LinearActRows defaults and SceneRec's split
+/// eq. (14) read this one constant, so the fused and split forms cannot
+/// drift apart.
+inline constexpr float kLeakySlope = 0.01f;
+
 /// Applies the activation to a pre-activation value.
 float ActApply(FusedAct act, float x, float leaky_slope);
 
@@ -54,6 +60,17 @@ float Dot(const float* SCENEREC_RESTRICT a, const float* SCENEREC_RESTRICT b,
 /// y[0..n) += alpha * x[0..n).
 void Axpy(float alpha, const float* SCENEREC_RESTRICT x,
           float* SCENEREC_RESTRICT y, int64_t n);
+
+/// Dot(w, act(a + b)) over [0..n): the tail of a linear layer whose
+/// pre-activation arrives as two halves (SceneRec's split eq. (14),
+/// docs/models.md), fused so the activated vector is never stored. The
+/// activation switch runs once per call, not per element, and the products
+/// accumulate in Dot's lane order, so the result is bitwise
+/// Dot(w, h) with h[i] = ActApply(act, a[i] + b[i], leaky_slope).
+float AddActDot(const float* SCENEREC_RESTRICT a,
+                const float* SCENEREC_RESTRICT b,
+                const float* SCENEREC_RESTRICT w, int64_t n, FusedAct act,
+                float leaky_slope);
 
 /// y = W x for row-major W [m,n], x [n], y [m]. Row i is Dot(W_i, x).
 void Gemv(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
@@ -129,6 +146,10 @@ void GemvQ8(const uint8_t* SCENEREC_RESTRICT codes, int64_t rows, int64_t n,
 // -- Scalar references (testing only) ---------------------------------------
 
 float DotRef(const float* a, const float* b, int64_t n);
+/// The unfused composition AddActDot must equal bitwise: the activated
+/// vector materialized with ActApply, then Dot.
+float AddActDotRef(const float* a, const float* b, const float* w, int64_t n,
+                   FusedAct act, float leaky_slope);
 void AxpyRef(float alpha, const float* x, float* y, int64_t n);
 void GemvRef(const float* w, int64_t m, int64_t n, const float* x, float* y);
 void GemvMultiRef(const float* w, int64_t m, int64_t n, const float* xs,

@@ -56,7 +56,7 @@ Tensor Tanh(const Tensor& a);
 Tensor Relu(const Tensor& a);
 
 /// x if x > 0 else alpha * x.
-Tensor LeakyRelu(const Tensor& a, float alpha = 0.01f);
+Tensor LeakyRelu(const Tensor& a, float alpha = kernels::kLeakySlope);
 
 /// Numerically stable log(1 + exp(x)). Note -log(sigmoid(z)) == Softplus(-z),
 /// which is how the BPR loss is computed.
@@ -118,7 +118,7 @@ Tensor MatVecBatch(const Tensor& w, const Tensor& xs);
 /// activation chain of equations (1), (2), (7), (12) without two
 /// intermediate nodes. `bias` must be rank-1 of length m.
 Tensor LinearAct(const Tensor& w, const Tensor& x, const Tensor& bias,
-                 kernels::FusedAct act, float leaky_slope = 0.01f);
+                 kernels::FusedAct act, float leaky_slope = kernels::kLeakySlope);
 
 /// LinearAct specialised to the paper's sigma = logistic sigmoid.
 Tensor LinearSigmoid(const Tensor& w, const Tensor& x, const Tensor& bias);
@@ -126,7 +126,7 @@ Tensor LinearSigmoid(const Tensor& w, const Tensor& x, const Tensor& bias);
 /// Row-batched LinearAct: xs [R, n] -> [R, m] where row r equals
 /// LinearAct(w, Row(xs, r), bias, act) bitwise (same per-row kernel).
 Tensor LinearActRows(const Tensor& w, const Tensor& xs, const Tensor& bias,
-                     kernels::FusedAct act, float leaky_slope = 0.01f);
+                     kernels::FusedAct act, float leaky_slope = kernels::kLeakySlope);
 
 /// Dot product of two rank-1 tensors -> scalar.
 Tensor Dot(const Tensor& a, const Tensor& b);

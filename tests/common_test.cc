@@ -394,6 +394,18 @@ TEST(FlagParserTest, HelpPrintsUsageOnceAndExitsZero) {
       "^Flags:\n  --seed=<int> \\(default 42\\)  RNG seed\n$");
 }
 
+// A tool's usage text heads Help(), so `--help` shows the positional forms
+// that the flag list alone cannot.
+TEST(FlagParserTest, HelpStartsWithTheToolsUsage) {
+  FlagParser flags("usage: tool <path.srsnap>\n       tool --selftest [dir]\n");
+  flags.AddBool("selftest", false, "run the selftest");
+  const std::string help = flags.Help();
+  EXPECT_EQ(help.rfind("usage: tool <path.srsnap>\n", 0), 0u) << help;
+  EXPECT_NE(help.find("       tool --selftest [dir]\nFlags:\n  --selftest"),
+            std::string::npos)
+      << help;
+}
+
 // Registering a flag named "help" would shadow the built-in; it is a
 // programming error.
 TEST(FlagParserTest, HelpIsReservedName) {

@@ -10,6 +10,7 @@
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "data/tsv_io.h"
+#include "tests/test_util.h"
 
 namespace scenerec {
 namespace {
@@ -329,9 +330,8 @@ TEST(TsvIoTest, RoundTripPreservesDataset) {
   ASSERT_TRUE(result.ok());
   const Dataset& original = result.value();
 
-  char dir_template[] = "/tmp/scenerec_tsv_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir_template), nullptr);
-  const std::string dir(dir_template);
+  const testing::ScopedTempDir temp_dir("scenerec_tsv");
+  const std::string& dir = temp_dir.path();
 
   ASSERT_TRUE(SaveDatasetTsv(original, dir).ok());
   auto loaded_or = LoadDatasetTsv(dir);
@@ -364,9 +364,8 @@ TEST(TsvIoTest, FuzzedFilesNeverCrash) {
   // mutations, a dataset that still validates) — never crash.
   auto result = GenerateSyntheticDataset(SmallConfig(), 29);
   ASSERT_TRUE(result.ok());
-  char dir_template[] = "/tmp/scenerec_fuzz_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir_template), nullptr);
-  const std::string dir(dir_template);
+  const testing::ScopedTempDir temp_dir("scenerec_fuzz");
+  const std::string& dir = temp_dir.path();
   ASSERT_TRUE(SaveDatasetTsv(result.value(), dir).ok());
 
   const char* files[] = {"meta.tsv",           "interactions.tsv",
@@ -400,9 +399,8 @@ TEST(TsvIoTest, FuzzedFilesNeverCrash) {
 }
 
 TEST(TsvIoTest, LoadCorruptMetaFails) {
-  char dir_template[] = "/tmp/scenerec_tsv_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir_template), nullptr);
-  const std::string dir(dir_template);
+  const testing::ScopedTempDir temp_dir("scenerec_tsv");
+  const std::string& dir = temp_dir.path();
   {
     FILE* f = ::fopen((dir + "/meta.tsv").c_str(), "w");
     ASSERT_NE(f, nullptr);

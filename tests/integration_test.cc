@@ -14,6 +14,7 @@
 #include "models/factory.h"
 #include "models/scene_rec.h"
 #include "train/trainer.h"
+#include "tests/test_util.h"
 
 namespace scenerec {
 namespace {
@@ -30,10 +31,9 @@ TEST(IntegrationTest, SaveLoadTrainRoundTrip) {
   auto original = GenerateSyntheticDataset(config, 5);
   ASSERT_TRUE(original.ok());
 
-  char dir_template[] = "/tmp/scenerec_integ_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir_template), nullptr);
-  ASSERT_TRUE(SaveDatasetTsv(original.value(), dir_template).ok());
-  auto loaded = LoadDatasetTsv(dir_template);
+  const testing::ScopedTempDir temp_dir("scenerec_integ");
+  ASSERT_TRUE(SaveDatasetTsv(original.value(), temp_dir.path()).ok());
+  auto loaded = LoadDatasetTsv(temp_dir.path());
   ASSERT_TRUE(loaded.ok());
 
   auto run = [](const Dataset& dataset) {

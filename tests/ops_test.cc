@@ -434,6 +434,30 @@ TEST(KernelEquivalenceTest, DotMatchesRef) {
   }
 }
 
+// AddActDot fuses act(a + b) into Dot's lane loop; its contract is bitwise
+// equality with the unfused composition, for every activation, on the
+// shapes straddling the lane bank. Pre-activations span both signs, so the
+// relu/leaky branches and both sigmoid branches are taken.
+TEST(KernelEquivalenceTest, AddActDotBitwiseEqualsRef) {
+  Rng rng(53);
+  const kernels::FusedAct acts[] = {
+      kernels::FusedAct::kNone, kernels::FusedAct::kSigmoid,
+      kernels::FusedAct::kTanh, kernels::FusedAct::kRelu,
+      kernels::FusedAct::kLeakyRelu};
+  for (kernels::FusedAct act : acts) {
+    for (int64_t n : kKernelSizes) {
+      std::vector<float> a = RandomVec(n, rng);
+      std::vector<float> b = RandomVec(n, rng);
+      std::vector<float> w = RandomVec(n, rng);
+      const float want = kernels::AddActDotRef(a.data(), b.data(), w.data(), n,
+                                               act, kernels::kLeakySlope);
+      const float got = kernels::AddActDot(a.data(), b.data(), w.data(), n,
+                                           act, kernels::kLeakySlope);
+      EXPECT_EQ(got, want) << "act=" << static_cast<int>(act) << " n=" << n;
+    }
+  }
+}
+
 TEST(KernelEquivalenceTest, GemvMatchesRef) {
   Rng rng(41);
   for (int64_t m : kKernelSizes) {

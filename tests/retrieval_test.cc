@@ -35,6 +35,7 @@
 #include "retrieval/ivf_index.h"
 #include "retrieval/quantize.h"
 #include "retrieval/two_stage.h"
+#include "tests/test_util.h"
 
 namespace scenerec {
 namespace {
@@ -345,10 +346,8 @@ TEST_F(RetrievalTest, IvfStructureAndNprobeKnob) {
 // -- Build determinism: live model vs mmap'd snapshot --------------------------
 
 TEST_F(RetrievalTest, LiveAndSnapshotBuildsAreBitIdentical) {
-  char tmpl[] = "/tmp/scenerec_retr_XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
-  const std::string path = dir + "/m.srsnap";
+  const testing::ScopedTempDir temp_dir("scenerec_retr");
+  const std::string path = temp_dir.path() + "/m.srsnap";
 
   std::unique_ptr<Recommender> live = Make("BPR-MF");
   ASSERT_NE(live, nullptr);
@@ -399,8 +398,6 @@ TEST_F(RetrievalTest, LiveAndSnapshotBuildsAreBitIdentical) {
     EXPECT_EQ(want[i].score, got[i].score);
   }
 
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
 }
 
 // -- Concurrency: one index, many querying threads -----------------------------

@@ -340,6 +340,7 @@ TEST_F(ServeTest, HotSwapUnderLiveTrafficNeverTearsResults) {
   std::atomic<int64_t> next{0};
   std::atomic<int64_t> version_a_hits{0};
   std::atomic<int64_t> version_b_hits{0};
+  std::atomic<bool> published{false};
   const int64_t total = dataset_.num_users * 10;
   std::vector<std::thread> clients;
   for (int t = 0; t < 4; ++t) {
@@ -348,6 +349,11 @@ TEST_F(ServeTest, HotSwapUnderLiveTrafficNeverTearsResults) {
       for (;;) {
         const int64_t seq = next.fetch_add(1);
         if (seq >= total) break;
+        // The second half of the traffic waits for the swap, so version B
+        // is served however the threads are scheduled.
+        if (seq >= total / 2) {
+          while (!published.load()) std::this_thread::yield();
+        }
         const int64_t user = seq % dataset_.num_users;
         ASSERT_TRUE(server.TopN(user, &got));
         const bool is_a = matches(got, expected_a[static_cast<size_t>(user)]);
@@ -361,6 +367,7 @@ TEST_F(ServeTest, HotSwapUnderLiveTrafficNeverTearsResults) {
   std::thread publisher([&] {
     while (next.load() < total / 4) std::this_thread::yield();
     server.Publish(model_b);
+    published.store(true);
   });
   publisher.join();
   for (std::thread& t : clients) t.join();
@@ -700,6 +707,7 @@ TEST_F(ServeTest, LazyWarmupHotSwapOnColdCacheNeverTearsResults) {
 
   std::atomic<int64_t> next{0};
   std::atomic<int64_t> version_b_hits{0};
+  std::atomic<bool> published{false};
   const int64_t total = dataset_.num_users * 10;
   std::vector<std::thread> clients;
   for (int t = 0; t < 4; ++t) {
@@ -708,6 +716,11 @@ TEST_F(ServeTest, LazyWarmupHotSwapOnColdCacheNeverTearsResults) {
       for (;;) {
         const int64_t seq = next.fetch_add(1);
         if (seq >= total) break;
+        // The second half of the traffic waits for the swap, so version B
+        // is served however the threads are scheduled.
+        if (seq >= total / 2) {
+          while (!published.load()) std::this_thread::yield();
+        }
         // Skewed mix: half the traffic concentrates on 5 hot users (well
         // inside the 10-entry cache, so residency pays off), half cycles
         // the whole catalog (so eviction churn never stops). A pure
@@ -727,6 +740,7 @@ TEST_F(ServeTest, LazyWarmupHotSwapOnColdCacheNeverTearsResults) {
   std::thread publisher([&] {
     while (next.load() < total / 4) std::this_thread::yield();
     server.Publish(model_b);
+    published.store(true);
   });
   publisher.join();
   for (std::thread& t : clients) t.join();

@@ -30,20 +30,10 @@
 #include "nn/embedding.h"
 #include "nn/snapshot.h"
 #include "tensor/tensor.h"
+#include "tests/test_util.h"
 
 namespace scenerec {
 namespace {
-
-std::string TempDir() {
-  char tmpl[] = "/tmp/scenerec_snap_XXXXXX";
-  EXPECT_NE(::mkdtemp(tmpl), nullptr);
-  return tmpl;
-}
-
-void RemoveTree(const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-}
 
 /// Every factory-constructible model, including the parameter-free
 /// baselines (their snapshots have an empty manifest).
@@ -77,10 +67,7 @@ class SnapshotTest : public ::testing::Test {
     train_graph_ = UserItemGraph::Build(dataset_.num_users, dataset_.num_items,
                                         split_.train);
     scene_graph_ = dataset_.BuildSceneGraph();
-    dir_ = TempDir();
   }
-
-  void TearDown() override { RemoveTree(dir_); }
 
   ModelContext Context() const {
     ModelContext context;
@@ -115,7 +102,8 @@ class SnapshotTest : public ::testing::Test {
   LeaveOneOutSplit split_;
   UserItemGraph train_graph_;
   SceneGraph scene_graph_;
-  std::string dir_;
+  testing::ScopedTempDir temp_dir_{"scenerec_snap"};
+  const std::string dir_ = temp_dir_.path();
 };
 
 // The tentpole contract: a model opened zero-copy from a snapshot scores

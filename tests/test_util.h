@@ -3,8 +3,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <span>
+#include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -43,6 +47,33 @@ inline void ExpectVectorNear(const std::vector<float>& got,
     EXPECT_NEAR(got[i], want[i], tol) << "at index " << i;
   }
 }
+
+/// A fresh directory /tmp/<prefix>_XXXXXX (mkdtemp), removed with
+/// everything in it when the object goes out of scope, so a test leaves
+/// nothing behind whether it passes or fails.
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(const std::string& prefix) {
+    std::string tmpl = "/tmp/" + prefix + "_XXXXXX";
+    if (::mkdtemp(tmpl.data()) != nullptr) {
+      path_ = tmpl;
+    } else {
+      ADD_FAILURE() << "mkdtemp failed for " << tmpl;
+    }
+  }
+  ~ScopedTempDir() {
+    if (path_.empty()) return;
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Lifts a per-pair score function `pair(user, item) -> float` into a
 /// BlockScoreFn that scores every candidate independently: the stand-in

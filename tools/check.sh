@@ -10,7 +10,8 @@
 #      stats socket mid-traffic) and scenerec_stat --selftest (a daemon with
 #      the observability plane on: windowed percentiles that move with
 #      load, healthz/SLO transitions, every socket verb), all against
-#      freshly trained mini-models
+#      freshly trained mini-models; the stage fails if the run leaves a
+#      new /tmp/scenerec_* entry behind
 #   2. ThreadSanitizer build (-DSCENEREC_SANITIZE=thread) + the tests that
 #      exercise concurrency (ThreadPool, sharded training, parallel eval,
 #      the serving daemon)
@@ -45,7 +46,17 @@ configure() {
 echo "==> stage 1: regular build + ctest"
 configure build
 cmake --build build
+# Every test and selftest removes the /tmp/scenerec_* directories it makes;
+# a run that leaves a new one behind fails the stage.
+tmp_before="$(ls -1d /tmp/scenerec_* 2>/dev/null | sort || true)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+tmp_after="$(ls -1d /tmp/scenerec_* 2>/dev/null | sort || true)"
+leaked="$(comm -13 <(echo "$tmp_before") <(echo "$tmp_after"))"
+if [ -n "$leaked" ]; then
+  echo "FAIL: ctest left temp entries behind:" >&2
+  echo "$leaked" >&2
+  exit 1
+fi
 
 echo "==> stage 2: ThreadSanitizer build"
 configure build-tsan -DSCENEREC_SANITIZE=thread

@@ -43,6 +43,7 @@
 #include "nn/snapshot.h"
 #include "retrieval/index_builder.h"
 #include "retrieval/two_stage.h"
+#include "selftest_dir.h"
 #include "serve/server.h"
 #include "train/trainer.h"
 
@@ -180,18 +181,9 @@ bool DriveAndVerify(serve::Server& server, int64_t num_users, int64_t total,
   return ok.load();
 }
 
-int SelfTest(std::string dir) {
+int SelfTest(const std::string& dir) {
   constexpr int64_t kTopN = 10;
   constexpr int kClients = 4;
-
-  if (dir.empty()) {
-    char tmpl[] = "/tmp/scenerec_serve_XXXXXX";
-    if (::mkdtemp(tmpl) == nullptr) {
-      std::fprintf(stderr, "FAIL cannot create temp dir\n");
-      return 1;
-    }
-    dir = tmpl;
-  }
 
   auto world_or = BuildWorld();
   if (!world_or.ok()) return Fail("world", world_or.status());
@@ -894,9 +886,12 @@ int Serve(const FlagParser& flags) {
 int Run(int argc, char** argv) {
   TuneAllocatorForTraining();
 
-  FlagParser flags;
+  FlagParser flags(
+      "usage: scenerec_serve [flags]\n"
+      "       scenerec_serve --selftest [dir]\n");
   flags.AddBool("selftest", false,
-                "run the end-to-end daemon smoke test and exit (0 iff PASS)");
+                "run the end-to-end daemon smoke test in [dir] (default: a "
+                "fresh temp dir, removed afterwards) and exit (0 iff PASS)");
   flags.AddString("model", "SceneRec", "model name (see models/factory.h)");
   flags.AddString("dataset", "Electronics", "JD synthetic preset");
   flags.AddDouble("scale", 0.02, "synthetic dataset scale");
@@ -959,7 +954,9 @@ int Run(int argc, char** argv) {
 
   int code;
   if (flags.GetBool("selftest")) {
-    code = SelfTest(flags.positional().empty() ? "" : flags.positional()[0]);
+    code = RunInSelfTestDir(
+        flags.positional().empty() ? "" : flags.positional()[0],
+        "scenerec_serve", SelfTest);
   } else {
     code = Serve(flags);
   }

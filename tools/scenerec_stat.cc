@@ -407,7 +407,9 @@ int SelfTest() {
 }
 
 int Main(int argc, char** argv) {
-  FlagParser flags;
+  FlagParser flags(
+      "usage: scenerec_stat [flags]\n"
+      "       scenerec_stat --selftest\n");
   flags.AddString("socket", "/tmp/scenerec.sock",
                   "stats socket path of the serving daemon");
   flags.AddBool("json", false, "print the `stats` verb's JSON and exit");

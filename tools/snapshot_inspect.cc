@@ -38,6 +38,7 @@
 #include "retrieval/index_builder.h"
 #include "retrieval/ivf_index.h"
 #include "retrieval/two_stage.h"
+#include "selftest_dir.h"
 #include "train/trainer.h"
 
 namespace scenerec {
@@ -191,16 +192,7 @@ int ExportIndex(const std::string& path, const std::string& kind_name) {
 
 /// Train a small BPR-MF, publish versioned snapshots, reopen the newest
 /// zero-copy, and require bitwise-identical scores plus a working hot swap.
-int SelfTest(std::string dir) {
-  if (dir.empty()) {
-    char tmpl[] = "/tmp/scenerec_snapstore_XXXXXX";
-    if (::mkdtemp(tmpl) == nullptr) {
-      std::fprintf(stderr, "FAIL cannot create temp dir\n");
-      return 1;
-    }
-    dir = tmpl;
-  }
-
+int SelfTest(const std::string& dir) {
   SyntheticConfig data_config;
   data_config.name = "snapshot-selftest";
   data_config.num_users = 40;
@@ -385,7 +377,10 @@ int SelfTest(std::string dir) {
 }  // namespace scenerec
 
 int main(int argc, char** argv) {
-  scenerec::FlagParser flags;
+  scenerec::FlagParser flags(
+      "usage: snapshot_inspect [--stats] <path.srsnap>\n"
+      "       snapshot_inspect --export-index[=kind] <path.srsnap>\n"
+      "       snapshot_inspect --selftest [dir]\n");
   flags.AddBool("stats", false,
                 "also print per-tensor value stats (faults the pages in)");
   flags.AddImplicitString("export-index", "", "ivf",
@@ -393,23 +388,20 @@ int main(int argc, char** argv) {
                           "table: exact|exact_sq8|ivf|ivf_sq8");
   flags.AddBool("selftest", false,
                 "run the end-to-end check in [dir] (default: a fresh temp "
-                "dir); exit 0 iff PASS");
-  const std::string usage =
-      "usage: snapshot_inspect [--stats] <path.srsnap>\n"
-      "       snapshot_inspect --export-index[=kind] <path.srsnap>\n"
-      "       snapshot_inspect --selftest [dir]\n";
+                "dir, removed afterwards); exit 0 iff PASS");
   if (scenerec::Status s = flags.Parse(argc, argv); !s.ok()) {
-    std::fprintf(stderr, "%s\n%s%s", s.ToString().c_str(), usage.c_str(),
+    std::fprintf(stderr, "%s\n%s", s.ToString().c_str(),
                  flags.Help().c_str());
     return 2;
   }
   const std::vector<std::string>& args = flags.positional();
   if (flags.GetBool("selftest")) {
-    return scenerec::SelfTest(args.empty() ? "" : args[0]);
+    return scenerec::RunInSelfTestDir(args.empty() ? "" : args[0],
+                                      "scenerec_snapstore", scenerec::SelfTest);
   }
   if (args.size() != 1) {
-    std::fprintf(stderr, "error: expected one snapshot path\n%s%s",
-                 usage.c_str(), flags.Help().c_str());
+    std::fprintf(stderr, "error: expected one snapshot path\n%s",
+                 flags.Help().c_str());
     return 2;
   }
   const std::string& kind = flags.GetString("export-index");
