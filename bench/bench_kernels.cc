@@ -184,8 +184,11 @@ void BM_EmbeddingGatherScatter(benchmark::State& state) {
 }
 BENCHMARK(BM_EmbeddingGatherScatter)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_SceneAttention(benchmark::State& state) {
-  // The eq. (9)-(11) pattern: k cosine logits -> softmax -> weighted sum.
+// The eq. (9)-(11) pattern over k neighbours: k cosine logits -> softmax ->
+// weighted sum, built either from the four composed ops or as the one fused
+// CosineAttention node; with `backward` each iteration also runs Backward
+// from a scalar loss over the output.
+void SceneAttention(benchmark::State& state, bool fused, bool backward) {
   const int64_t k = state.range(0);
   Rng rng(5);
   Tensor query = Tensor::RandomUniform(Shape({64}), -1, 1, rng, true);
@@ -195,17 +198,47 @@ void BM_SceneAttention(benchmark::State& state) {
   }
   Tensor values = Tensor::RandomUniform(Shape({k, 64}), -1, 1, rng, true);
   for (auto _ : state) {
-    std::vector<Tensor> logits;
-    logits.reserve(keys.size());
-    for (const Tensor& key : keys) {
-      logits.push_back(CosineSimilarity(query, key));
+    Tensor out;
+    if (fused) {
+      out = CosineAttention(values, query, keys);
+    } else {
+      std::vector<Tensor> logits;
+      logits.reserve(keys.size());
+      for (const Tensor& key : keys) {
+        logits.push_back(CosineSimilarity(query, key));
+      }
+      out = WeightedSumRows(values, Softmax(Stack(logits)));
     }
-    Tensor out = WeightedSumRows(values, Softmax(Stack(logits)));
+    if (backward) {
+      Backward(Sum(out));
+      query.ZeroGrad();
+      values.ZeroGrad();
+      for (Tensor& key : keys) key.ZeroGrad();
+    }
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * k);
 }
+
+void BM_SceneAttention(benchmark::State& state) {
+  SceneAttention(state, /*fused=*/false, /*backward=*/false);
+}
 BENCHMARK(BM_SceneAttention)->Arg(5)->Arg(20)->Arg(50);
+
+void BM_SceneAttentionBackward(benchmark::State& state) {
+  SceneAttention(state, /*fused=*/false, /*backward=*/true);
+}
+BENCHMARK(BM_SceneAttentionBackward)->Arg(5)->Arg(20)->Arg(50);
+
+void BM_SceneAttentionFused(benchmark::State& state) {
+  SceneAttention(state, /*fused=*/true, /*backward=*/false);
+}
+BENCHMARK(BM_SceneAttentionFused)->Arg(5)->Arg(20)->Arg(50);
+
+void BM_SceneAttentionFusedBackward(benchmark::State& state) {
+  SceneAttention(state, /*fused=*/true, /*backward=*/true);
+}
+BENCHMARK(BM_SceneAttentionFusedBackward)->Arg(5)->Arg(20)->Arg(50);
 
 void BM_SpMM(benchmark::State& state) {
   const int64_t nodes = state.range(0);

@@ -93,14 +93,10 @@ Tensor SceneRec::CategoryFuseInput(int64_t category, StepCaches& caches,
   } else {
     Tensor rows = category_embedding_.LookupMany(neighbors);
     if (config_.use_attention) {
-      const Tensor& query = h_scene;
-      std::vector<Tensor> logits;
-      logits.reserve(neighbors.size());
-      for (int64_t q : neighbors) {
-        logits.push_back(CosineSimilarity(query, SceneSum(q, caches)));
-      }
-      Tensor alpha = Softmax(Stack(logits));
-      h_cat = WeightedSumRows(rows, alpha);
+      std::vector<Tensor> keys;
+      keys.reserve(neighbors.size());
+      for (int64_t q : neighbors) keys.push_back(SceneSum(q, caches));
+      h_cat = CosineAttention(rows, h_scene, keys);
     } else {
       h_cat = MeanRows(rows);  // uniform weights (noatt variant)
     }
@@ -145,14 +141,12 @@ Tensor SceneRec::SceneFuseInput(int64_t item, StepCaches& caches, Rng* rng) {
       Tensor rows = item_embedding_.LookupMany(neighbors);
       if (config_.use_attention && config_.use_scene) {
         Tensor query = SceneSum(scene_->CategoryOfItem(item), caches);
-        std::vector<Tensor> logits;
-        logits.reserve(neighbors.size());
+        std::vector<Tensor> keys;
+        keys.reserve(neighbors.size());
         for (int64_t q : neighbors) {
-          logits.push_back(CosineSimilarity(
-              query, SceneSum(scene_->CategoryOfItem(q), caches)));
+          keys.push_back(SceneSum(scene_->CategoryOfItem(q), caches));
         }
-        Tensor beta = Softmax(Stack(logits));
-        h_item = WeightedSumRows(rows, beta);
+        h_item = CosineAttention(rows, query, keys);
       } else {
         // noatt variant, or nosce (no scenes to attend with): uniform.
         h_item = MeanRows(rows);
@@ -529,6 +523,8 @@ void SceneRec::ScoreRows(std::span<const int64_t> users,
     }
     out[r] = SplitRating(user_half.data(), ItemHalf(items[r]));
   }
+  // AddActDot per row: the two halves' add, the product and its sum.
+  kernels::CountFlops(3 * d * static_cast<int64_t>(users.size()));
 }
 
 RetrievalEmbeddings SceneRec::ExportItemEmbeddings() {

@@ -169,6 +169,8 @@ void Axpy(float alpha, const float* SCENEREC_RESTRICT x,
   for (int64_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
+void CountFlops(int64_t n) { t_flops.Add(static_cast<uint64_t>(n)); }
+
 void Gemv(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
           const float* SCENEREC_RESTRICT x, float* SCENEREC_RESTRICT y) {
   TRACE_KERNEL("Gemv", m, n);

@@ -72,6 +72,12 @@ float AddActDot(const float* SCENEREC_RESTRICT a,
                 const float* SCENEREC_RESTRICT w, int64_t n, FusedAct act,
                 float leaky_slope);
 
+/// Adds `n` to the `kernels/flops` telemetry counter for work done by
+/// uninstrumented kernels (Dot, Axpy, AddActDot, which run per row and must
+/// stay free of counter updates). Callers count once per op or batch call,
+/// never per row or per element.
+void CountFlops(int64_t n);
+
 /// y = W x for row-major W [m,n], x [n], y [m]. Row i is Dot(W_i, x).
 void Gemv(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
           const float* SCENEREC_RESTRICT x, float* SCENEREC_RESTRICT y);

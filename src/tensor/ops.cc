@@ -1088,6 +1088,145 @@ Tensor WeightedSumRows(const Tensor& rows, const Tensor& weights) {
   return result;
 }
 
+Tensor CosineAttention(const Tensor& values, const Tensor& query,
+                       const std::vector<Tensor>& keys, float epsilon) {
+  TRACE_OP("CosineAttention");
+  SCENEREC_CHECK_EQ(values.shape().rank(), 2);
+  SCENEREC_CHECK_EQ(query.shape().rank(), 1);
+  const int64_t k = values.shape().dim(0);
+  const int64_t d = values.shape().dim(1);
+  SCENEREC_CHECK_GE(k, 1);
+  SCENEREC_CHECK_EQ(static_cast<int64_t>(keys.size()), k);
+  SCENEREC_CHECK_EQ(query.shape().dim(0), d);
+  // Input order [values, query, keys...] makes Backward's post-order visit
+  // the same subtrees in the same order as the composed graph, whose
+  // WeightedSumRows node reaches values first, then the query through the
+  // first cosine, then each key.
+  std::vector<Tensor> inputs;
+  bool needs_grad = false;
+  if (!NoGradGuard::enabled()) {
+    inputs.reserve(keys.size() + 2);
+    inputs.push_back(values);
+    inputs.push_back(query);
+    for (const Tensor& key : keys) inputs.push_back(key);
+    for (const Tensor& t : inputs) needs_grad = needs_grad || t.requires_grad();
+  }
+  // Per key: softmax weight y, cosine, |key|² + eps and the cosine's
+  // denominator. Kept for the backward closure only when one will run.
+  std::vector<float> saved;
+  thread_local std::vector<float> eval_scratch;
+  std::vector<float>& state = needs_grad ? saved : eval_scratch;
+  state.resize(static_cast<size_t>(4 * k));
+  float* y = state.data();
+  float* cos = y + k;
+  float* nb2 = y + 2 * k;
+  float* denom = y + 3 * k;
+
+  // CosineSimilarity(query, key) per key, with its exact arithmetic.
+  const float* qv = query.value().data();
+  const float na2 = kernels::Dot(qv, qv, d) + epsilon;
+  const float norm_q = std::sqrt(na2);
+  for (int64_t r = 0; r < k; ++r) {
+    SCENEREC_CHECK(keys[r].shape() == query.shape())
+        << keys[r].shape().ToString() << "vs" << query.shape().ToString();
+    const float* kv = keys[r].value().data();
+    const float s = kernels::Dot(qv, kv, d);
+    nb2[r] = kernels::Dot(kv, kv, d) + epsilon;
+    denom[r] = norm_q * std::sqrt(nb2[r]);
+    cos[r] = s / denom[r];
+  }
+  // Softmax: max-subtract, exp, divide.
+  float max_logit = cos[0];
+  for (int64_t r = 0; r < k; ++r) max_logit = std::max(max_logit, cos[r]);
+  float sum = 0.0f;
+  for (int64_t r = 0; r < k; ++r) {
+    y[r] = std::exp(cos[r] - max_logit);
+    sum += y[r];
+  }
+  for (int64_t r = 0; r < k; ++r) y[r] /= sum;
+  // WeightedSumRows.
+  const float* vv = values.value().data();
+  FloatBuffer out(static_cast<size_t>(d), 0.0f);
+  for (int64_t r = 0; r < k; ++r) {
+    if (y[r] == 0.0f) continue;
+    kernels::Axpy(y[r], vv + r * d, out.data(), d);
+  }
+  // Two Dots per key plus the query norm, and one Axpy per row.
+  kernels::CountFlops(2 * d + 6 * k * d);
+
+  auto result = MakeOp("CosineAttention", Shape({d}), std::move(out),
+                       std::move(inputs), nullptr);
+  TensorNode* on = result.node().get();
+  if (!result.requires_grad()) return result;
+  on->backward_fn = [on, k, d, na2, saved = std::move(saved)]() {
+    const float* y = saved.data();
+    const float* cos = y + k;
+    const float* nb2 = y + 2 * k;
+    const float* denom = y + 3 * k;
+    const auto& g = on->grad;
+    const auto& vn = on->inputs[0];
+    const auto& qn = on->inputs[1];
+    bool keys_need_grad = qn->requires_grad;
+    for (int64_t r = 0; r < k; ++r) {
+      keys_need_grad = keys_need_grad || on->inputs[2 + r]->requires_grad;
+    }
+    // One Axpy per values row; the weights' gradient adds a Dot per row and
+    // the two cosine quotient rules per key.
+    kernels::CountFlops((keys_need_grad ? 16 : 2) * k * d);
+    // WeightedSumRows' values gradient.
+    if (vn->requires_grad) {
+      auto lock = internal_tensor::LockGradIfSharedLeaf(vn.get());
+      vn->EnsureGrad();
+      for (int64_t r = 0; r < k; ++r) {
+        if (y[r] == 0.0f) continue;
+        kernels::Axpy(y[r], g.data(), vn->grad.data() + r * d, d);
+      }
+    }
+    if (!keys_need_grad) return;
+    // The composed graph's private gradients of the weights (ga), the
+    // logits (gs) and each cosine (gc), replayed as the same `+=` into
+    // zeroed buffers so every rounding step (signed zeros included) agrees.
+    std::vector<float> chain(static_cast<size_t>(3 * k), 0.0f);
+    float* ga = chain.data();
+    float* gs = ga + k;
+    float* gc = ga + 2 * k;
+    for (int64_t r = 0; r < k; ++r) {
+      ga[r] += kernels::Dot(vn->value.data() + r * d, g.data(), d);
+    }
+    const float dot = kernels::Dot(ga, y, k);
+    for (int64_t r = 0; r < k; ++r) gs[r] += y[r] * (ga[r] - dot);
+    for (int64_t r = 0; r < k; ++r) gc[r] += gs[r];
+    // CosineSimilarity backward in the composed graph's reverse topological
+    // order: last key first, the query's share before the key's.
+    const float* SCENEREC_RESTRICT qv = qn->value.data();
+    for (int64_t r = k - 1; r >= 0; --r) {
+      const auto& kn = on->inputs[2 + r];
+      const float* SCENEREC_RESTRICT kv = kn->value.data();
+      const float gr = gc[r];
+      const float cr = cos[r];
+      const float dr = denom[r];
+      const float nr = nb2[r];
+      if (qn->requires_grad) {
+        auto lock = internal_tensor::LockGradIfSharedLeaf(qn.get());
+        qn->EnsureGrad();
+        float* SCENEREC_RESTRICT gq = qn->grad.data();
+        for (int64_t i = 0; i < d; ++i) {
+          gq[i] += gr * (kv[i] / dr - cr * qv[i] / na2);
+        }
+      }
+      if (kn->requires_grad) {
+        auto lock = internal_tensor::LockGradIfSharedLeaf(kn.get());
+        kn->EnsureGrad();
+        float* SCENEREC_RESTRICT gk = kn->grad.data();
+        for (int64_t i = 0; i < d; ++i) {
+          gk[i] += gr * (qv[i] / dr - cr * kv[i] / nr);
+        }
+      }
+    }
+  };
+  return result;
+}
+
 Tensor SpMM(const CsrGraph* adj,
             const std::shared_ptr<const std::vector<float>>& edge_weights,
             const Tensor& x) {

@@ -179,12 +179,26 @@ Tensor Reshape(const Tensor& a, const Shape& shape);
 /// Duplicate indices accumulate. This is the embedding-lookup primitive.
 Tensor Gather(const Tensor& table, const std::vector<int64_t>& indices);
 
-/// Softmax over a rank-1 tensor, equation (6)/(11).
+/// Softmax over a rank-1 tensor (the normalization of equations (6)/(11),
+/// which SceneRec runs inside CosineAttention).
 Tensor Softmax(const Tensor& logits);
 
 /// Attention aggregation: sum_r weights[r] * rows[r, :] for rows [k, d] and
-/// weights [k] -> [d]. Equations (4) and (9).
+/// weights [k] -> [d]. CMN's memory read; the reference composition for
+/// CosineAttention.
 Tensor WeightedSumRows(const Tensor& rows, const Tensor& weights);
+
+/// Scene-based attention, equations (4)-(6) and (9)-(11), in one graph node:
+///   sum_k softmax_k(cos(query, keys[k])) * values[k, :]
+/// for values [K, d], query [d] and K keys of shape [d] -> [d]. Forward
+/// values and all gradients are bitwise equal to the composition
+///   WeightedSumRows(values,
+///                   Softmax(Stack({CosineSimilarity(query, keys[k])...})))
+/// whenever neither the query nor any key is computed from another key (as
+/// in SceneRec, whose query and keys are scene-sum memos); docs/kernels.md
+/// gives the argument. Keys may repeat and may be the query itself.
+Tensor CosineAttention(const Tensor& values, const Tensor& query,
+                       const std::vector<Tensor>& keys, float epsilon = 1e-8f);
 
 /// Sparse-dense product for full-graph message passing (NGCF, KGAT):
 ///   out[s, :] = sum over the j-th neighbor t of s of w_j * x[t, :]

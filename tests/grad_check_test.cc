@@ -295,6 +295,21 @@ TEST(GradCheckTest, AttentionPattern) {
       {query, key0, key1, values});
 }
 
+TEST(GradCheckTest, AttentionPatternFused) {
+  // The same attention as one CosineAttention node.
+  Rng rng(28);
+  Tensor query = RandomVec(4, rng);
+  Tensor key0 = RandomVec(4, rng);
+  Tensor key1 = RandomVec(4, rng);
+  Tensor values = RandomMat(2, 4, rng);
+  ExpectGradientsClose(
+      [&] {
+        return Dot(CosineAttention(values, query, {key0, key1}),
+                   Projection(4));
+      },
+      {query, key0, key1, values});
+}
+
 TEST(GradCheckTest, DeepComposition) {
   // A miniature two-layer network end to end.
   Rng rng(29);

@@ -1,9 +1,13 @@
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/telemetry.h"
 #include "tensor/arena.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
@@ -399,6 +403,240 @@ TEST(FusedOpsGradTest, GatherRowsWithDuplicates) {
   Tensor a = Tensor::RandomUniform(Shape({4, 3}), -1, 1, rng, true);
   ExpectGradientsClose(
       [&] { return Sum(GatherRows(a, {1, 3, 1, 0})); }, {a});
+}
+
+// -- CosineAttention vs its composition, bitwise -------------------------------
+
+using AttentionFn = Tensor (*)(const Tensor&, const Tensor&,
+                               const std::vector<Tensor>&);
+
+/// The four-op composition CosineAttention replaces (eqs. (4)-(6)).
+Tensor ComposedAttention(const Tensor& values, const Tensor& query,
+                         const std::vector<Tensor>& keys) {
+  std::vector<Tensor> logits;
+  logits.reserve(keys.size());
+  for (const Tensor& key : keys) logits.push_back(CosineSimilarity(query, key));
+  return WeightedSumRows(values, Softmax(Stack(logits)));
+}
+
+Tensor FusedAttention(const Tensor& values, const Tensor& query,
+                      const std::vector<Tensor>& keys) {
+  return CosineAttention(values, query, keys);
+}
+
+/// Builds one loss graph with the given attention and returns
+/// {loss, tensors whose value and gradient are compared...}.
+using AttentionGraph = std::function<std::vector<Tensor>(AttentionFn)>;
+
+void ExpectBitwiseEqual(const std::vector<float>& got,
+                        const std::vector<float>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  if (got.empty()) return;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << what;
+}
+
+class CosineAttentionTest : public ::testing::Test {
+ protected:
+  // 19 straddles Dot's 8-lane bank and leaves a scalar tail.
+  static constexpr int64_t kDim = 19;
+
+  /// Neighbour rows gathered from a parameter table, like LookupMany.
+  Tensor Values(int64_t k) const {
+    std::vector<int64_t> ids;
+    for (int64_t r = 0; r < k; ++r) ids.push_back((5 * r + 2) % 24);
+    return Gather(item_table_, ids);
+  }
+
+  /// A scene-sum memo (SceneRec::SceneSum): a sum of gathered scene rows.
+  Tensor SceneMemo(int64_t c) const {
+    return SumRows(Gather(scene_table_, {c % 30, (c + 7) % 30, (3 * c + 1) % 30}));
+  }
+
+  /// A fixed non-uniform projection to a scalar loss.
+  static Tensor Projection(int64_t n) {
+    std::vector<float> v(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      v[static_cast<size_t>(i)] = 0.3f - 0.11f * static_cast<float>(i % 7);
+    }
+    return Tensor::FromVector(Shape({n}), std::move(v));
+  }
+
+  /// Runs `build` once per attention form from zeroed parameter gradients
+  /// and compares every watched value and gradient, and every parameter
+  /// gradient, byte for byte.
+  void ExpectFusedMatchesComposed(const AttentionGraph& build,
+                                  std::vector<Tensor> leaves = {}) {
+    leaves.push_back(item_table_);
+    leaves.push_back(scene_table_);
+    auto run = [&](AttentionFn attend) {
+      for (Tensor& leaf : leaves) leaf.ZeroGrad();
+      std::vector<Tensor> watched = build(attend);
+      Backward(watched[0]);
+      std::vector<std::vector<float>> bytes;
+      for (const Tensor& t : watched) {
+        bytes.push_back(t.value());
+        bytes.push_back(t.grad());
+      }
+      for (const Tensor& leaf : leaves) bytes.push_back(leaf.grad());
+      return bytes;
+    };
+    const auto want = run(ComposedAttention);
+    const auto got = run(FusedAttention);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ExpectBitwiseEqual(got[i], want[i], "buffer " + std::to_string(i));
+    }
+  }
+
+  Rng rng_{41};
+  Tensor item_table_ =
+      Tensor::RandomUniform(Shape({24, kDim}), -1, 1, rng_, true);
+  Tensor scene_table_ =
+      Tensor::RandomUniform(Shape({30, kDim}), -1, 1, rng_, true);
+};
+
+TEST_F(CosineAttentionTest, KeyCounts) {
+  for (int64_t k : {1, 3, 20}) {
+    SCOPED_TRACE(k);
+    ExpectFusedMatchesComposed([&](AttentionFn attend) {
+      Tensor values = Values(k);
+      Tensor query = SceneMemo(0);
+      std::vector<Tensor> keys;
+      for (int64_t r = 0; r < k; ++r) keys.push_back(SceneMemo(r + 1));
+      Tensor out = attend(values, query, keys);
+      std::vector<Tensor> watched = {Dot(out, Projection(kDim)), out, values,
+                                     query};
+      watched.insert(watched.end(), keys.begin(), keys.end());
+      return watched;
+    });
+  }
+}
+
+TEST_F(CosineAttentionTest, RepeatedKey) {
+  ExpectFusedMatchesComposed([&](AttentionFn attend) {
+    Tensor values = Values(4);
+    Tensor query = SceneMemo(0);
+    Tensor m1 = SceneMemo(1);
+    Tensor m2 = SceneMemo(2);
+    Tensor out = attend(values, query, {m1, m2, m1, m1});
+    return std::vector<Tensor>{Dot(out, Projection(kDim)), out, values, query,
+                               m1, m2};
+  });
+}
+
+TEST_F(CosineAttentionTest, KeyIsQuery) {
+  ExpectFusedMatchesComposed([&](AttentionFn attend) {
+    Tensor values = Values(4);
+    Tensor query = SceneMemo(0);
+    Tensor m1 = SceneMemo(1);
+    Tensor m2 = SceneMemo(2);
+    Tensor out = attend(values, query, {m1, query, m2, query});
+    return std::vector<Tensor>{Dot(out, Projection(kDim)), out, values, query,
+                               m1, m2};
+  });
+}
+
+TEST_F(CosineAttentionTest, ZeroKeyAndZeroQuery) {
+  // All-zero vectors take the epsilon path: cosine 0, finite gradients.
+  // A category without scenes is a constant zero memo; a trainable zero
+  // vector also receives gradient.
+  Tensor zero_leaf = Tensor::Zeros(Shape({kDim}), /*requires_grad=*/true);
+  ExpectFusedMatchesComposed(
+      [&](AttentionFn attend) {
+        Tensor values = Values(4);
+        Tensor query = SceneMemo(0);
+        Tensor zero = Tensor::Zeros(Shape({kDim}));
+        Tensor m1 = SceneMemo(1);
+        Tensor out = attend(values, query, {m1, zero, zero_leaf, m1});
+        return std::vector<Tensor>{Dot(out, Projection(kDim)), out, values,
+                                   query, m1};
+      },
+      {zero_leaf});
+  ExpectFusedMatchesComposed(
+      [&](AttentionFn attend) {
+        Tensor values = Values(3);
+        Tensor m1 = SceneMemo(1);
+        Tensor m2 = SceneMemo(2);
+        Tensor out = attend(values, zero_leaf, {m1, m2, zero_leaf});
+        return std::vector<Tensor>{Dot(out, Projection(kDim)), out, values,
+                                   m1, m2};
+      },
+      {zero_leaf});
+}
+
+TEST_F(CosineAttentionTest, QueryOrKeysWithoutGrad) {
+  Rng rng(43);
+  Tensor constant_query =
+      Tensor::RandomUniform(Shape({kDim}), -1, 1, rng, false);
+  Tensor constant_key = Tensor::RandomUniform(Shape({kDim}), -1, 1, rng, false);
+  // Constant query, mixed keys.
+  ExpectFusedMatchesComposed([&](AttentionFn attend) {
+    Tensor values = Values(3);
+    Tensor m1 = SceneMemo(1);
+    Tensor out = attend(values, constant_query, {m1, constant_key, m1});
+    return std::vector<Tensor>{Dot(out, Projection(kDim)), out, values, m1};
+  });
+  // Trainable query, constant keys.
+  ExpectFusedMatchesComposed([&](AttentionFn attend) {
+    Tensor values = Values(2);
+    Tensor query = SceneMemo(0);
+    Tensor out = attend(values, query, {constant_key, constant_query});
+    return std::vector<Tensor>{Dot(out, Projection(kDim)), out, values, query};
+  });
+  // Only the values are trainable: the weights get no gradient.
+  ExpectFusedMatchesComposed([&](AttentionFn attend) {
+    Tensor values = Values(2);
+    Tensor out = attend(values, constant_query, {constant_key, constant_query});
+    return std::vector<Tensor>{Dot(out, Projection(kDim)), out, values};
+  });
+}
+
+TEST_F(CosineAttentionTest, TwoBlocksShareKeys) {
+  // SceneRec's category and item attentions read the same scene-sum memos:
+  // one block's key can be the other's query.
+  ExpectFusedMatchesComposed([&](AttentionFn attend) {
+    std::vector<Tensor> memos;
+    for (int64_t c = 0; c < 5; ++c) memos.push_back(SceneMemo(c));
+    Tensor values_a = Values(3);
+    Tensor values_b = Values(4);
+    Tensor out_a = attend(values_a, memos[0], {memos[1], memos[2], memos[3]});
+    Tensor out_b =
+        attend(values_b, memos[2], {memos[3], memos[4], memos[1], memos[0]});
+    Tensor loss = Dot(Concat({out_a, out_b}), Projection(2 * kDim));
+    std::vector<Tensor> watched = {loss, out_a, out_b, values_a, values_b};
+    watched.insert(watched.end(), memos.begin(), memos.end());
+    return watched;
+  });
+}
+
+TEST_F(CosineAttentionTest, EvalModeIsOneNodeWithComposedValue) {
+  Tensor query = SceneMemo(0);
+  std::vector<Tensor> keys = {SceneMemo(1), SceneMemo(2), query};
+  Tensor values = Values(3);
+  NoGradGuard no_grad;
+  Tensor fused = CosineAttention(values, query, keys);
+  EXPECT_TRUE(fused.node()->inputs.empty());
+  EXPECT_EQ(fused.node()->backward_fn, nullptr);
+  ExpectBitwiseEqual(fused.value(), ComposedAttention(values, query, keys).value(),
+                     "eval value");
+}
+
+TEST_F(CosineAttentionTest, CountsFlopsOncePerCall) {
+  NoGradGuard no_grad;
+  Tensor query = SceneMemo(0);
+  std::vector<Tensor> keys = {SceneMemo(1), SceneMemo(2), SceneMemo(3)};
+  Tensor values = Values(3);
+  telemetry::Telemetry::SetEnabled(true);
+  telemetry::Telemetry::Reset();
+  CosineAttention(values, query, keys);
+  const uint64_t flops =
+      telemetry::Telemetry::Snapshot().CounterValue("kernels/flops");
+  telemetry::Telemetry::Reset();
+  telemetry::Telemetry::SetEnabled(false);
+  EXPECT_EQ(flops, static_cast<uint64_t>(2 * kDim + 6 * 3 * kDim));
 }
 
 // -- Vectorized kernels vs scalar references ----------------------------------
