@@ -106,6 +106,41 @@ void BM_MatVecLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_MatVecLoop)->Arg(16)->Arg(64)->Arg(256);
 
+// One row-batched Linear node at SceneRec's eq. (14) hidden-layer shape,
+// W [64, 128] with leaky ReLU, over a block of `rows` inputs; with
+// `backward` each iteration also runs Backward into W, b and xs.
+void LinearActRowsBench(benchmark::State& state, bool backward) {
+  const int64_t rows = state.range(0);
+  const int64_t m = 64, n = 128;
+  Rng rng(14);
+  Tensor w = Tensor::RandomUniform(Shape({m, n}), -1, 1, rng, true);
+  Tensor b = Tensor::RandomUniform(Shape({m}), -1, 1, rng, true);
+  Tensor xs = Tensor::RandomUniform(Shape({rows, n}), -1, 1, rng, true);
+  for (auto _ : state) {
+    Tensor out = LinearActRows(w, xs, b, kernels::FusedAct::kLeakyRelu);
+    if (backward) {
+      Backward(Sum(out));
+      w.ZeroGrad();
+      b.ZeroGrad();
+      xs.ZeroGrad();
+    }
+    benchmark::DoNotOptimize(out);
+  }
+  // Forward 2·m·n per row; the backward adds dW and dxs at 2·m·n each.
+  state.SetItemsProcessed(state.iterations() * (backward ? 6 : 2) * rows * m *
+                          n);
+}
+
+void BM_LinearActRows(benchmark::State& state) {
+  LinearActRowsBench(state, /*backward=*/false);
+}
+BENCHMARK(BM_LinearActRows)->Arg(32)->Arg(256);
+
+void BM_LinearActRowsBackward(benchmark::State& state) {
+  LinearActRowsBench(state, /*backward=*/true);
+}
+BENCHMARK(BM_LinearActRowsBackward)->Arg(32)->Arg(256);
+
 void BM_CosineSimilarityFused(benchmark::State& state) {
   Rng rng(13);
   Tensor a = Tensor::RandomUniform(Shape({64}), -1, 1, rng, true);

@@ -283,7 +283,7 @@ Tensor SceneRec::Rating(const Tensor& user_repr, const Tensor& item_repr) {
     std::vector<float> halves(static_cast<size_t>(2 * d));
     kernels::Gemv(split_.w_user.data(), d, d, user_repr.value().data(),
                   halves.data());
-    WriteItemHalf(item_repr.value().data(), halves.data() + d);
+    WriteItemHalves(item_repr.value().data(), 1, halves.data() + d);
     return Tensor::Scalar(SplitRating(halves.data(), halves.data() + d));
   }
   // Eq. (14).
@@ -311,11 +311,15 @@ void SceneRec::PrepareSplitRating() {
   eval_item_half_ready_.assign(static_cast<size_t>(num_items), 0);
 }
 
-void SceneRec::WriteItemHalf(const float* item_repr, float* out) const {
+void SceneRec::WriteItemHalves(const float* item_reprs, int64_t count,
+                               float* out) const {
   const int64_t d = config_.embedding_dim;
-  kernels::Gemv(split_.w_item.data(), d, d, item_repr, out);
+  kernels::GemvMulti(split_.w_item.data(), d, d, item_reprs, count, out);
   const auto& b = rating_mlp_.layer(0).bias().value();
-  for (int64_t k = 0; k < d; ++k) out[k] += b[static_cast<size_t>(k)];
+  for (int64_t r = 0; r < count; ++r) {
+    float* row = out + r * d;
+    for (int64_t k = 0; k < d; ++k) row[k] += b[static_cast<size_t>(k)];
+  }
 }
 
 const float* SceneRec::ItemHalf(int64_t item) {
@@ -323,7 +327,7 @@ const float* SceneRec::ItemHalf(int64_t item) {
   uint8_t& ready = eval_item_half_ready_[static_cast<size_t>(item)];
   if (ready == 0) {
     const Tensor repr = GeneralItemRepr(item, step_caches_, nullptr);
-    WriteItemHalf(repr.value().data(), row);
+    WriteItemHalves(repr.value().data(), 1, row);
     ready = 1;
   }
   return row;
@@ -464,10 +468,10 @@ bool SceneRec::PrepareParallelScoring(ThreadPool& pool) {
           items[static_cast<size_t>(i - begin)] = i;
         }
         Tensor rows = GeneralItemReprRows(items, step_caches_, nullptr);
+        WriteItemHalves(rows.value().data(), end - begin,
+                        eval_item_half_.data() + begin * d);
         for (int64_t i = begin; i < end; ++i) {
           eval_item_cache_[static_cast<size_t>(i)] = Row(rows, i - begin);
-          WriteItemHalf(rows.value().data() + (i - begin) * d,
-                        eval_item_half_.data() + i * d);
           eval_item_half_ready_[static_cast<size_t>(i)] = 1;
         }
       });

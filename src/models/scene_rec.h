@@ -216,8 +216,11 @@ class SceneRec : public Recommender {
   /// item-half memo. A no-op until OnEvalBegin drops them again.
   void PrepareSplitRating();
 
-  /// out[0..d) = W_i·item_repr + b: the one formula behind every P row.
-  void WriteItemHalf(const float* item_repr, float* out) const;
+  /// out[r, 0..d) = W_i·item_reprs[r] + b for `count` contiguous rows: the
+  /// one formula behind every P row. One GemvMulti pass over W_i, so each
+  /// row is bitwise the single-item Gemv.
+  void WriteItemHalves(const float* item_reprs, int64_t count,
+                       float* out) const;
 
   /// P row of `item`, filled on first use, or read as filled by
   /// PrepareParallelScoring.

@@ -30,8 +30,41 @@ std::vector<float>& Optimizer::State(size_t param_index, int slot) {
   return slab;
 }
 
+namespace {
+
+/// Sparse parameter (embedding table): only the rows listed in
+/// touched_rows carry gradient since the last ZeroGrad.
+bool IsSparse(const Tensor& p) {
+  return !p.touched_rows().empty() && p.shape().rank() == 2;
+}
+
+}  // namespace
+
+void Optimizer::DedupTouchedRows(Tensor& p) {
+  std::vector<int64_t>& rows = p.node()->touched_rows;
+  const auto num_rows = static_cast<size_t>(p.shape().dim(0));
+  if (row_mark_.size() < num_rows) row_mark_.resize(num_rows, 0);
+  int64_t lo = rows.front();
+  int64_t hi = lo;
+  for (int64_t row : rows) {
+    row_mark_[static_cast<size_t>(row)] = 1;
+    lo = std::min(lo, row);
+    hi = std::max(hi, row);
+  }
+  rows.clear();
+  for (int64_t row = lo; row <= hi; ++row) {
+    uint8_t& mark = row_mark_[static_cast<size_t>(row)];
+    if (mark == 0) continue;
+    mark = 0;
+    rows.push_back(row);
+  }
+}
+
 void Optimizer::Step() {
   OnStepBegin();
+  for (Tensor& p : params_) {
+    if (!p.grad().empty() && IsSparse(p)) DedupTouchedRows(p);
+  }
 
   // Optional global gradient-norm clipping: one pass to measure, then the
   // scale factor is folded into every span update.
@@ -41,14 +74,9 @@ void Optimizer::Step() {
     for (const Tensor& p : params_) {
       const auto& g = p.grad();
       if (g.empty()) continue;
-      if (!p.touched_rows().empty() && p.shape().rank() == 2) {
+      if (IsSparse(p)) {
         const int64_t cols = p.shape().dim(1);
-        row_scratch_.assign(p.touched_rows().begin(), p.touched_rows().end());
-        std::sort(row_scratch_.begin(), row_scratch_.end());
-        row_scratch_.erase(
-            std::unique(row_scratch_.begin(), row_scratch_.end()),
-            row_scratch_.end());
-        for (int64_t row : row_scratch_) {
+        for (int64_t row : p.touched_rows()) {
           const float* gr = g.data() + row * cols;
           for (int64_t c = 0; c < cols; ++c) {
             sq += static_cast<double>(gr[c]) * gr[c];
@@ -66,16 +94,11 @@ void Optimizer::Step() {
 
   for (size_t i = 0; i < params_.size(); ++i) {
     Tensor& p = params_[i];
-    const auto& g = p.grad();
-    if (g.empty()) continue;  // No gradient flowed into this parameter.
-    if (!p.touched_rows().empty() && p.shape().rank() == 2) {
+    if (p.grad().empty()) continue;  // No gradient flowed into this parameter.
+    if (IsSparse(p)) {
       // Sparse parameter: update only rows touched since last ZeroGrad.
       const int64_t cols = p.shape().dim(1);
-      row_scratch_.assign(p.touched_rows().begin(), p.touched_rows().end());
-      std::sort(row_scratch_.begin(), row_scratch_.end());
-      row_scratch_.erase(std::unique(row_scratch_.begin(), row_scratch_.end()),
-                         row_scratch_.end());
-      for (int64_t row : row_scratch_) {
+      for (int64_t row : p.touched_rows()) {
         UpdateSpan(i, row * cols, cols, grad_scale);
       }
     } else {

@@ -66,7 +66,15 @@ class Optimizer {
   OptimizerOptions options_;
   // state_[slot][param_index]
   std::vector<std::vector<std::vector<float>>> state_;
-  std::vector<int64_t> row_scratch_;
+
+  /// Rewrites a sparse parameter's touched_rows (one entry per gathered
+  /// row, duplicates included) as its distinct rows in ascending order —
+  /// the order clip_norm's double sum reads them in — so both Step passes
+  /// and the next ZeroGrad visit each row once. One pass marks the rows in
+  /// row_mark_, a second walks the marks from the lowest touched row to the
+  /// highest and clears them: O(touched + row-id span), no sort.
+  void DedupTouchedRows(Tensor& p);
+  std::vector<uint8_t> row_mark_;  // all zero between calls
 };
 
 /// Plain stochastic gradient descent, optionally with momentum.

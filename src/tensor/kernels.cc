@@ -28,8 +28,8 @@ namespace {
 // Kernel call + FLOP accounting (docs/observability.md). Instrumented at the
 // per-call level only: Dot/Axpy run inside these kernels' inner loops and
 // stay untouched, so the cost per GEMM/GEMV is one enabled-flag branch and
-// two thread-local stores. GemvRows counts one gemv per row (its rows ARE
-// gemv calls, bitwise), plus its own batched-call counter.
+// two thread-local stores. A row-batched kernel counts one call however many
+// rows it runs, and its flops at 2·m·n per row.
 const telemetry::Counter t_gemm_calls =
     telemetry::RegisterCounter("kernels/gemm_calls");
 const telemetry::Counter t_gemv_calls =
@@ -42,8 +42,8 @@ const telemetry::Counter t_accum_calls =
     telemetry::RegisterCounter("kernels/backward_accum_calls");
 const telemetry::Counter t_flops = telemetry::RegisterCounter("kernels/flops");
 
-// One definition per activation, shared by ActApply and the hoisted
-// AddActDot loops, so the two cannot round differently.
+// One definition per activation, shared by ActApply and every hoisted row
+// loop (WithAct), so the fused and composed forms cannot round differently.
 inline float SigmoidOf(float x) {
   // Branch on sign for numerical stability at large |x| (same formula as
   // the standalone Sigmoid op, so fused and composed paths agree).
@@ -61,39 +61,51 @@ inline float LeakyReluOf(float x, float slope) {
   return x > 0.0f ? x : slope * x;
 }
 
+/// Runs body(f) with f the activation as an inlinable functor: the switch on
+/// `act` runs once per call, and the element loops inside `body` hold no
+/// branch on it.
+template <typename Body>
+decltype(auto) WithAct(FusedAct act, float leaky_slope, Body&& body) {
+  switch (act) {
+    case FusedAct::kSigmoid:
+      return body([](float x) { return SigmoidOf(x); });
+    case FusedAct::kTanh:
+      return body([](float x) { return std::tanh(x); });
+    case FusedAct::kRelu:
+      return body([](float x) { return ReluOf(x); });
+    case FusedAct::kLeakyRelu:
+      return body(
+          [leaky_slope](float x) { return LeakyReluOf(x, leaky_slope); });
+    case FusedAct::kNone:
+      break;
+  }
+  return body([](float x) { return x; });
+}
+
+/// WithAct for d(act)/d(pre-activation), recovered from the output y.
+template <typename Body>
+decltype(auto) WithActGrad(FusedAct act, float leaky_slope, Body&& body) {
+  switch (act) {
+    case FusedAct::kSigmoid:
+      return body([](float y) { return y * (1.0f - y); });
+    case FusedAct::kTanh:
+      return body([](float y) { return 1.0f - y * y; });
+    case FusedAct::kRelu:
+      // y > 0 iff x > 0, matching the forward's strict-inequality convention.
+      return body([](float y) { return y > 0.0f ? 1.0f : 0.0f; });
+    case FusedAct::kLeakyRelu:
+      return body(
+          [leaky_slope](float y) { return y > 0.0f ? 1.0f : leaky_slope; });
+    case FusedAct::kNone:
+      break;
+  }
+  return body([](float) { return 1.0f; });
+}
+
 }  // namespace
 
 float ActApply(FusedAct act, float x, float leaky_slope) {
-  switch (act) {
-    case FusedAct::kNone:
-      return x;
-    case FusedAct::kSigmoid:
-      return SigmoidOf(x);
-    case FusedAct::kTanh:
-      return std::tanh(x);
-    case FusedAct::kRelu:
-      return ReluOf(x);
-    case FusedAct::kLeakyRelu:
-      return LeakyReluOf(x, leaky_slope);
-  }
-  return x;
-}
-
-float ActGradFromY(FusedAct act, float y, float leaky_slope) {
-  switch (act) {
-    case FusedAct::kNone:
-      return 1.0f;
-    case FusedAct::kSigmoid:
-      return y * (1.0f - y);
-    case FusedAct::kTanh:
-      return 1.0f - y * y;
-    case FusedAct::kRelu:
-      // y > 0 iff x > 0, matching the forward's strict-inequality convention.
-      return y > 0.0f ? 1.0f : 0.0f;
-    case FusedAct::kLeakyRelu:
-      return y > 0.0f ? 1.0f : leaky_slope;
-  }
-  return 1.0f;
+  return WithAct(act, leaky_slope, [x](auto f) { return f(x); });
 }
 
 namespace {
@@ -147,21 +159,8 @@ float AddActDot(const float* SCENEREC_RESTRICT a,
                 const float* SCENEREC_RESTRICT b,
                 const float* SCENEREC_RESTRICT w, int64_t n, FusedAct act,
                 float leaky_slope) {
-  switch (act) {
-    case FusedAct::kNone:
-      return AddActDotImpl(a, b, w, n, [](float x) { return x; });
-    case FusedAct::kSigmoid:
-      return AddActDotImpl(a, b, w, n, [](float x) { return SigmoidOf(x); });
-    case FusedAct::kTanh:
-      return AddActDotImpl(a, b, w, n, [](float x) { return std::tanh(x); });
-    case FusedAct::kRelu:
-      return AddActDotImpl(a, b, w, n, [](float x) { return ReluOf(x); });
-    case FusedAct::kLeakyRelu:
-      return AddActDotImpl(a, b, w, n, [leaky_slope](float x) {
-        return LeakyReluOf(x, leaky_slope);
-      });
-  }
-  return 0.0f;
+  return WithAct(act, leaky_slope,
+                 [&](auto f) { return AddActDotImpl(a, b, w, n, f); });
 }
 
 void Axpy(float alpha, const float* SCENEREC_RESTRICT x,
@@ -179,21 +178,24 @@ void Gemv(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
   for (int64_t i = 0; i < m; ++i) y[i] = Dot(w + i * n, x, n);
 }
 
-void GemvRows(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
-              const float* SCENEREC_RESTRICT xs, int64_t rows,
-              float* SCENEREC_RESTRICT ys) {
-  TRACE_KERNEL("GemvRows", rows * m, n);
-  t_gemv_rows_calls.Add(1);
-  // Each row runs the identical Gemv path — bitwise equal to `rows`
-  // standalone calls, which is what lets model code batch per-entity
-  // forwards without changing results. (The inner Gemv also accounts the
-  // per-row calls and FLOPs.)
-  for (int64_t r = 0; r < rows; ++r) {
-    Gemv(w, m, n, xs + r * n, ys + r * m);
-  }
-}
-
 namespace {
+
+/// CombineRowsPortable on one kWidth-column tile of `out`, held in a local
+/// bank that the compiler keeps in vector registers.
+template <int64_t kWidth>
+inline void CombineTile(const float* SCENEREC_RESTRICT c, int64_t cs,
+                        const float* SCENEREC_RESTRICT v, int64_t count,
+                        int64_t n, float* SCENEREC_RESTRICT out) {
+  float acc[kWidth];
+  for (int64_t l = 0; l < kWidth; ++l) acc[l] = out[l];
+  for (int64_t k = 0; k < count; ++k) {
+    const float ck = c[k * cs];
+    if (ck == 0.0f) continue;
+    const float* SCENEREC_RESTRICT vk = v + k * n;
+    for (int64_t l = 0; l < kWidth; ++l) acc[l] += ck * vk[l];
+  }
+  for (int64_t l = 0; l < kWidth; ++l) out[l] = acc[l];
+}
 
 #if defined(SCENEREC_KERNELS_X86)
 
@@ -364,26 +366,69 @@ __attribute__((target("avx2"))) void GemvMulti8Avx2(
     for (int64_t q = 0; q < 8; ++q) ys[q * m + i] = t[q];
   }
 }
+
+/// CombineRowsPortable's AVX2 twin: 64 output columns (eight ymm) stay in
+/// registers while the coefficients stream, then 8, then single columns.
+/// Per lane one vmulps and one vaddps — the rounding of the scalar
+/// `out += c * v` — and never FMA, which would round once instead of twice.
+__attribute__((target("avx2"))) void CombineRowsAvx2(
+    const float* SCENEREC_RESTRICT c, int64_t cs,
+    const float* SCENEREC_RESTRICT v, int64_t count, int64_t n,
+    float* SCENEREC_RESTRICT out) {
+  int64_t j = 0;
+  for (; j + 64 <= n; j += 64) {
+    float* SCENEREC_RESTRICT o = out + j;
+    __m256 a0 = _mm256_loadu_ps(o), a1 = _mm256_loadu_ps(o + 8);
+    __m256 a2 = _mm256_loadu_ps(o + 16), a3 = _mm256_loadu_ps(o + 24);
+    __m256 a4 = _mm256_loadu_ps(o + 32), a5 = _mm256_loadu_ps(o + 40);
+    __m256 a6 = _mm256_loadu_ps(o + 48), a7 = _mm256_loadu_ps(o + 56);
+    for (int64_t k = 0; k < count; ++k) {
+      const float ck = c[k * cs];
+      if (ck == 0.0f) continue;
+      const __m256 g = _mm256_set1_ps(ck);
+      const float* SCENEREC_RESTRICT vk = v + k * n + j;
+      a0 = _mm256_add_ps(a0, _mm256_mul_ps(g, _mm256_loadu_ps(vk)));
+      a1 = _mm256_add_ps(a1, _mm256_mul_ps(g, _mm256_loadu_ps(vk + 8)));
+      a2 = _mm256_add_ps(a2, _mm256_mul_ps(g, _mm256_loadu_ps(vk + 16)));
+      a3 = _mm256_add_ps(a3, _mm256_mul_ps(g, _mm256_loadu_ps(vk + 24)));
+      a4 = _mm256_add_ps(a4, _mm256_mul_ps(g, _mm256_loadu_ps(vk + 32)));
+      a5 = _mm256_add_ps(a5, _mm256_mul_ps(g, _mm256_loadu_ps(vk + 40)));
+      a6 = _mm256_add_ps(a6, _mm256_mul_ps(g, _mm256_loadu_ps(vk + 48)));
+      a7 = _mm256_add_ps(a7, _mm256_mul_ps(g, _mm256_loadu_ps(vk + 56)));
+    }
+    _mm256_storeu_ps(o, a0);
+    _mm256_storeu_ps(o + 8, a1);
+    _mm256_storeu_ps(o + 16, a2);
+    _mm256_storeu_ps(o + 24, a3);
+    _mm256_storeu_ps(o + 32, a4);
+    _mm256_storeu_ps(o + 40, a5);
+    _mm256_storeu_ps(o + 48, a6);
+    _mm256_storeu_ps(o + 56, a7);
+  }
+  for (; j + 8 <= n; j += 8) {
+    __m256 a = _mm256_loadu_ps(out + j);
+    for (int64_t k = 0; k < count; ++k) {
+      const float ck = c[k * cs];
+      if (ck == 0.0f) continue;
+      a = _mm256_add_ps(
+          a, _mm256_mul_ps(_mm256_set1_ps(ck), _mm256_loadu_ps(v + k * n + j)));
+    }
+    _mm256_storeu_ps(out + j, a);
+  }
+  for (; j < n; ++j) CombineTile<1>(c, cs, v + j, count, n, out + j);
+}
 #endif  // __GNUC__ || __clang__
 
 #endif  // SCENEREC_KERNELS_X86
 
-}  // namespace
-
-void GemvMulti(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
-               const float* SCENEREC_RESTRICT xs, int64_t nq,
-               float* SCENEREC_RESTRICT ys) {
-  TRACE_KERNEL("GemvMulti", m * nq, n);
-  t_gemv_multi_calls.Add(1);
-  t_flops.Add(static_cast<uint64_t>(2 * m * n * nq));
+/// GemvMulti's arithmetic, uncounted: ys[q*m + i] = Dot(W_i, xs_q).
+void GemvMultiBody(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
+                   const float* SCENEREC_RESTRICT xs, int64_t nq,
+                   float* SCENEREC_RESTRICT ys) {
   int64_t q = 0;
 #if defined(SCENEREC_KERNELS_X86)
 #if defined(SCENEREC_KERNELS_AVX2_DISPATCH)
   const bool have_avx2 = __builtin_cpu_supports("avx2");
-#else
-  const bool have_avx2 = false;
-#endif
-#if defined(SCENEREC_KERNELS_AVX2_DISPATCH)
   if (have_avx2) {
     for (; q + 8 <= nq; q += 8) {
       GemvMulti8Avx2(w, m, n, xs + q * n, ys + q * m);
@@ -412,27 +457,110 @@ void GemvMulti(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
   }
 }
 
-void GemvTAccum(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
-                const float* SCENEREC_RESTRICT g,
-                float* SCENEREC_RESTRICT dx) {
-  t_accum_calls.Add(1);
-  t_flops.Add(static_cast<uint64_t>(2 * m * n));
-  for (int64_t i = 0; i < m; ++i) {
-    const float gi = g[i];
-    if (gi == 0.0f) continue;
-    Axpy(gi, w + i * n, dx, n);
+/// out[0..n) += Σ_k c[k·cs] · v[k·n .. k·n + n) for k ascending, skipping
+/// the terms whose coefficient is ±0: Axpy(c_k, v_k, out, n) for each k in
+/// turn, but with a column tile of `out` held in registers across all k
+/// instead of loaded and stored once per k. Each element still adds its
+/// terms in ascending k from its current value, so the result is bitwise
+/// the Axpy loop. Both Linear gradients are this loop: dW row i combines the
+/// rows of xs (c = g's column i), dxs row r the rows of W (c = g's row r).
+void CombineRowsPortable(const float* SCENEREC_RESTRICT c, int64_t cs,
+                         const float* SCENEREC_RESTRICT v, int64_t count,
+                         int64_t n, float* SCENEREC_RESTRICT out) {
+  int64_t j = 0;
+  for (; j + 32 <= n; j += 32) CombineTile<32>(c, cs, v + j, count, n, out + j);
+  for (; j + 8 <= n; j += 8) CombineTile<8>(c, cs, v + j, count, n, out + j);
+  for (; j < n; ++j) CombineTile<1>(c, cs, v + j, count, n, out + j);
+}
+
+using CombineFn = void (*)(const float*, int64_t, const float*, int64_t,
+                           int64_t, float*);
+
+CombineFn ActiveCombine() {
+#if defined(SCENEREC_KERNELS_AVX2_DISPATCH)
+  if (__builtin_cpu_supports("avx2")) return CombineRowsAvx2;
+#endif
+  return CombineRowsPortable;
+}
+
+/// Rows of xs per sweep over dW: a block of 32 rows × 128 floats (16 KiB)
+/// stays in L1 while every dW row combines it. Blocks run in ascending r,
+/// so each dW element still adds its rows in ascending order.
+constexpr int64_t kGerRowBlock = 32;
+
+void GerRowsWith(CombineFn combine, const float* g, const float* xs,
+                 int64_t rows, int64_t m, int64_t n, float* dw) {
+  for (int64_t r0 = 0; r0 < rows; r0 += kGerRowBlock) {
+    const int64_t count = std::min(kGerRowBlock, rows - r0);
+    for (int64_t i = 0; i < m; ++i) {
+      combine(g + r0 * m + i, m, xs + r0 * n, count, n, dw + i * n);
+    }
   }
 }
 
-void GerAccum(const float* SCENEREC_RESTRICT g, const float* SCENEREC_RESTRICT x,
-              int64_t m, int64_t n, float* SCENEREC_RESTRICT dw) {
-  t_accum_calls.Add(1);
-  t_flops.Add(static_cast<uint64_t>(2 * m * n));
-  for (int64_t i = 0; i < m; ++i) {
-    const float gi = g[i];
-    if (gi == 0.0f) continue;
-    Axpy(gi, x, dw + i * n, n);
+void GemvTRowsWith(CombineFn combine, const float* w, int64_t m, int64_t n,
+                   const float* g, int64_t rows, float* dxs) {
+  for (int64_t r = 0; r < rows; ++r) {
+    combine(g + r * m, 1, w, m, n, dxs + r * n);
   }
+}
+
+}  // namespace
+
+void GemvMulti(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
+               const float* SCENEREC_RESTRICT xs, int64_t nq,
+               float* SCENEREC_RESTRICT ys) {
+  TRACE_KERNEL("GemvMulti", m * nq, n);
+  t_gemv_multi_calls.Add(1);
+  t_flops.Add(static_cast<uint64_t>(2 * m * n * nq));
+  GemvMultiBody(w, m, n, xs, nq, ys);
+}
+
+void GemvBiasActRows(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
+                     const float* SCENEREC_RESTRICT xs, int64_t rows,
+                     const float* SCENEREC_RESTRICT bias, FusedAct act,
+                     float leaky_slope, float* SCENEREC_RESTRICT ys) {
+  TRACE_KERNEL("GemvBiasActRows", rows * m, n);
+  t_gemv_rows_calls.Add(1);
+  t_flops.Add(static_cast<uint64_t>(2 * m * n * rows));
+  GemvMultiBody(w, m, n, xs, rows, ys);
+  if (bias == nullptr && act == FusedAct::kNone) return;
+  WithAct(act, leaky_slope, [&](auto f) {
+    if (bias == nullptr) {
+      for (int64_t e = 0; e < rows * m; ++e) ys[e] = f(ys[e]);
+      return;
+    }
+    for (int64_t r = 0; r < rows; ++r) {
+      float* SCENEREC_RESTRICT y = ys + r * m;
+      for (int64_t i = 0; i < m; ++i) y[i] = f(y[i] + bias[i]);
+    }
+  });
+}
+
+void ActGradRows(const float* SCENEREC_RESTRICT g,
+                 const float* SCENEREC_RESTRICT y, int64_t count, FusedAct act,
+                 float leaky_slope, float* SCENEREC_RESTRICT dpre) {
+  WithActGrad(act, leaky_slope, [&](auto d) {
+    for (int64_t e = 0; e < count; ++e) dpre[e] = g[e] * d(y[e]);
+  });
+}
+
+void GerRowsAccum(const float* SCENEREC_RESTRICT g,
+                  const float* SCENEREC_RESTRICT xs, int64_t rows, int64_t m,
+                  int64_t n, float* SCENEREC_RESTRICT dw) {
+  TRACE_KERNEL("GerRowsAccum", m, n);
+  t_accum_calls.Add(1);
+  t_flops.Add(static_cast<uint64_t>(2 * m * n * rows));
+  GerRowsWith(ActiveCombine(), g, xs, rows, m, n, dw);
+}
+
+void GemvTRowsAccum(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
+                    const float* SCENEREC_RESTRICT g, int64_t rows,
+                    float* SCENEREC_RESTRICT dxs) {
+  TRACE_KERNEL("GemvTRowsAccum", rows, n);
+  t_accum_calls.Add(1);
+  t_flops.Add(static_cast<uint64_t>(2 * m * n * rows));
+  GemvTRowsWith(ActiveCombine(), w, m, n, g, rows, dxs);
 }
 
 void Gemm(const float* SCENEREC_RESTRICT a, const float* SCENEREC_RESTRICT b,
@@ -577,18 +705,49 @@ void GemvMultiRef(const float* w, int64_t m, int64_t n, const float* xs,
   for (int64_t q = 0; q < nq; ++q) GemvRef(w, m, n, xs + q * n, ys + q * m);
 }
 
-void GemvTAccumRef(const float* w, int64_t m, int64_t n, const float* g,
-                   float* dx) {
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) dx[j] += g[i] * w[i * n + j];
+void GemvBiasActRowsRef(const float* w, int64_t m, int64_t n, const float* xs,
+                        int64_t rows, const float* bias, FusedAct act,
+                        float leaky_slope, float* ys) {
+  for (int64_t r = 0; r < rows; ++r) {
+    float* y = ys + r * m;
+    Gemv(w, m, n, xs + r * n, y);
+    for (int64_t i = 0; i < m; ++i) {
+      y[i] = ActApply(act, bias != nullptr ? y[i] + bias[i] : y[i],
+                      leaky_slope);
+    }
   }
 }
 
-void GerAccumRef(const float* g, const float* x, int64_t m, int64_t n,
-                 float* dw) {
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) dw[i * n + j] += g[i] * x[j];
+void GerRowsAccumRef(const float* g, const float* xs, int64_t rows, int64_t m,
+                     int64_t n, float* dw) {
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t i = 0; i < m; ++i) {
+      const float gi = g[r * m + i];
+      if (gi == 0.0f) continue;
+      Axpy(gi, xs + r * n, dw + i * n, n);
+    }
   }
+}
+
+void GemvTRowsAccumRef(const float* w, int64_t m, int64_t n, const float* g,
+                       int64_t rows, float* dxs) {
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t i = 0; i < m; ++i) {
+      const float gi = g[r * m + i];
+      if (gi == 0.0f) continue;
+      Axpy(gi, w + i * n, dxs + r * n, n);
+    }
+  }
+}
+
+void GerRowsAccumPortable(const float* g, const float* xs, int64_t rows,
+                          int64_t m, int64_t n, float* dw) {
+  GerRowsWith(CombineRowsPortable, g, xs, rows, m, n, dw);
+}
+
+void GemvTRowsAccumPortable(const float* w, int64_t m, int64_t n,
+                            const float* g, int64_t rows, float* dxs) {
+  GemvTRowsWith(CombineRowsPortable, w, m, n, g, rows, dxs);
 }
 
 void GemmRef(const float* a, const float* b, float* c, int64_t m, int64_t k,

@@ -14,14 +14,16 @@
 //     order is preserved) followed by a fixed-shape horizontal reduction;
 //     axpy-form updates keep the k loop monotonic per output element.
 //
-//  2. Batched == single, bitwise: GemvRows computes row r with the exact
-//     same Dot kernel as a standalone Gemv, so batching per-entity model
-//     code (SceneRec eval caches) cannot change results. The parallel-vs-
-//     serial bitwise equivalence tests in tests/parallel_test.cc depend on
-//     this.
+//  2. Batched == single, bitwise: the row-batched Linear kernels
+//     (GemvBiasActRows, ActGradRows, GerRowsAccum, GemvTRowsAccum) give
+//     every output element the same terms in the same order as a loop of
+//     single-row calls, so batching per-entity model code (SceneRec eval
+//     caches, ShardLoss) cannot change results. The parallel-vs-serial
+//     bitwise equivalence tests in tests/parallel_test.cc depend on this.
 //
-// Every kernel has a *Ref scalar counterpart (naive loops, same accumulation
-// order) used by the equivalence tests in tests/ops_test.cc.
+// Every kernel has a *Ref scalar counterpart used by the equivalence tests
+// in tests/ops_test.cc: naive loops for the reductions, and the per-row
+// loops themselves for the row-batched kernels.
 
 #if defined(__GNUC__) || defined(__clang__)
 #define SCENEREC_RESTRICT __restrict__
@@ -45,11 +47,6 @@ inline constexpr float kLeakySlope = 0.01f;
 
 /// Applies the activation to a pre-activation value.
 float ActApply(FusedAct act, float x, float leaky_slope);
-
-/// d(act)/d(pre-activation), recovered from the *output* y = act(x). All
-/// five activations admit this (sigmoid: y(1-y); tanh: 1-y²; relu/leaky:
-/// sign test on y matches the forward's x > 0 convention).
-float ActGradFromY(FusedAct act, float y, float leaky_slope);
 
 // -- Vectorized kernels -----------------------------------------------------
 
@@ -82,12 +79,6 @@ void CountFlops(int64_t n);
 void Gemv(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
           const float* SCENEREC_RESTRICT x, float* SCENEREC_RESTRICT y);
 
-/// ys[r,:] = W xs[r,:] for xs [rows,n], ys [rows,m]. Each row goes through
-/// the identical Gemv path — bitwise equal to `rows` standalone Gemv calls.
-void GemvRows(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
-              const float* SCENEREC_RESTRICT xs, int64_t rows,
-              float* SCENEREC_RESTRICT ys);
-
 /// ys[q*m + i] = Dot(W_i, xs_q) for queries xs [nq,n] against row-major
 /// W [m,n] — a multi-query Gemv that makes ONE pass over W, scoring every
 /// query while each row is hot in cache. Per (row, query) the accumulation
@@ -104,14 +95,45 @@ void GemvMulti(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
                const float* SCENEREC_RESTRICT xs, int64_t nq,
                float* SCENEREC_RESTRICT ys);
 
-/// dx[0..n) += Wᵀ g for W [m,n], g [m]. Accumulates rows of W in ascending
-/// i via axpy, so the per-element order is fixed.
-void GemvTAccum(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
-                const float* SCENEREC_RESTRICT g, float* SCENEREC_RESTRICT dx);
+// -- Row-batched Linear (docs/kernels.md#row-batched-linear) ----------------
+//
+// The forward and the three gradients of ys = act(W xs + bias) over a block
+// of rows: the kernels behind every LinearAct / LinearActRows / MatVec /
+// MatVecBatch node. Each is bitwise equal to its loop of single-row calls.
 
-/// dw[i,j] += g[i] * x[j] (rank-1 update into row-major dw [m,n]).
-void GerAccum(const float* SCENEREC_RESTRICT g, const float* SCENEREC_RESTRICT x,
-              int64_t m, int64_t n, float* SCENEREC_RESTRICT dw);
+/// ys[r,:] = act(W xs[r,:] + bias) for W [m,n], xs [rows,n], ys [rows,m].
+/// `bias` may be null (no add). The products are one GemvMulti pass over W,
+/// so each element is Dot(W_i, xs_r) bitwise; bias and activation follow in
+/// one sweep whose activation switch runs once per call.
+void GemvBiasActRows(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
+                     const float* SCENEREC_RESTRICT xs, int64_t rows,
+                     const float* SCENEREC_RESTRICT bias, FusedAct act,
+                     float leaky_slope, float* SCENEREC_RESTRICT ys);
+
+/// dpre[e] = g[e] · act'(y[e]) for e in [0, count), with the derivative
+/// recovered from the *output* y = act(x) (sigmoid: y(1-y); tanh: 1-y²;
+/// relu/leaky: the sign test on y matches the forward's x > 0 convention).
+void ActGradRows(const float* SCENEREC_RESTRICT g,
+                 const float* SCENEREC_RESTRICT y, int64_t count, FusedAct act,
+                 float leaky_slope, float* SCENEREC_RESTRICT dpre);
+
+/// dW[i,:] += Σ_r g[r,i] · xs[r,:] for g [rows,m], xs [rows,n], dW [m,n]:
+/// the weight gradient. Each dW element adds its rows in ascending r,
+/// starting from its current value, and skips the terms whose g is ±0 — the
+/// order and skips of `rows` single-row rank-1 updates, so the result is
+/// bitwise GerRowsAccumRef. A column tile of one dW row stays in registers
+/// while r streams; x86-64 dispatches to AVX2 at runtime (no FMA).
+void GerRowsAccum(const float* SCENEREC_RESTRICT g,
+                  const float* SCENEREC_RESTRICT xs, int64_t rows, int64_t m,
+                  int64_t n, float* SCENEREC_RESTRICT dw);
+
+/// dxs[r,:] += Σ_i g[r,i] · W[i,:] for W [m,n], g [rows,m], dxs [rows,n]:
+/// the input gradient. Each dxs element adds the rows of W in ascending i,
+/// skipping ±0 coefficients, so the result is bitwise GemvTRowsAccumRef.
+/// A column tile of dxs[r] stays in registers while i streams.
+void GemvTRowsAccum(const float* SCENEREC_RESTRICT w, int64_t m, int64_t n,
+                    const float* SCENEREC_RESTRICT g, int64_t rows,
+                    float* SCENEREC_RESTRICT dxs);
 
 /// C = A B for row-major A [m,k], B [k,n], C [m,n]. Register-tiled axpy
 /// form (i-k-j) with k-blocking; C[i,j] accumulates p = 0..k-1 in order
@@ -160,10 +182,22 @@ void AxpyRef(float alpha, const float* x, float* y, int64_t n);
 void GemvRef(const float* w, int64_t m, int64_t n, const float* x, float* y);
 void GemvMultiRef(const float* w, int64_t m, int64_t n, const float* xs,
                   int64_t nq, float* ys);
-void GemvTAccumRef(const float* w, int64_t m, int64_t n, const float* g,
-                   float* dx);
-void GerAccumRef(const float* g, const float* x, int64_t m, int64_t n,
-                 float* dw);
+/// The per-row loops the row-batched Linear kernels equal bitwise: a Gemv
+/// and an ActApply per row; one rank-1 axpy update per row; one transposed
+/// axpy sweep per row. The zero skips are part of the definition.
+void GemvBiasActRowsRef(const float* w, int64_t m, int64_t n, const float* xs,
+                        int64_t rows, const float* bias, FusedAct act,
+                        float leaky_slope, float* ys);
+void GerRowsAccumRef(const float* g, const float* xs, int64_t rows, int64_t m,
+                     int64_t n, float* dw);
+void GemvTRowsAccumRef(const float* w, int64_t m, int64_t n, const float* g,
+                       int64_t rows, float* dxs);
+/// The non-AVX2 bodies of GerRowsAccum / GemvTRowsAccum (uncounted), so the
+/// tests cover both dispatch paths on an AVX2 host.
+void GerRowsAccumPortable(const float* g, const float* xs, int64_t rows,
+                          int64_t m, int64_t n, float* dw);
+void GemvTRowsAccumPortable(const float* w, int64_t m, int64_t n,
+                            const float* g, int64_t rows, float* dxs);
 void GemmRef(const float* a, const float* b, float* c, int64_t m, int64_t k,
              int64_t n);
 void GemmNTAccumRef(const float* g, const float* b, float* da, int64_t m,

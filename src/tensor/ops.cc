@@ -544,38 +544,25 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 namespace {
 
 /// Shared forward/backward for MatVec, MatVecBatch, LinearAct and
-/// LinearActRows: ys = act(W xs + bias) row by row, where `bias` may be
-/// null (plain MatVec) and rows == 1 covers the vector case. Every row goes
-/// through kernels::Gemv, which is what makes the batched entry points
-/// bitwise equal to their per-entity loops.
+/// LinearActRows: ys = act(W xs + bias) over the whole [rows, n] block,
+/// where `bias` may be null (plain MatVec) and rows == 1 covers the vector
+/// case. The row-batched kernels give every element the terms and order of
+/// the per-row loop, so the batched entry points are bitwise equal to their
+/// per-entity loops, forward and backward (docs/kernels.md).
 Tensor LinearRowsImpl(const char* name, const Tensor& w, const Tensor& xs,
                       const Tensor* bias, kernels::FusedAct act,
                       float leaky_slope, int64_t rows, Shape out_shape) {
   trace::SpanScope op_span(name, "op", trace::Floor::kOp);
   const int64_t m = w.shape().dim(0);
   const int64_t n = w.shape().dim(1);
-  const auto& wv = w.value();
-  const auto& xv = xs.value();
-  FloatBuffer out = FloatBuffer::Uninitialized(static_cast<size_t>(rows * m));
-  kernels::GemvRows(wv.data(), m, n, xv.data(), rows, out.data());
   if (bias != nullptr) {
     SCENEREC_CHECK_EQ(bias->shape().rank(), 1);
     SCENEREC_CHECK_EQ(bias->shape().dim(0), m);
-    const auto& biasv = bias->value();
-    for (int64_t r = 0; r < rows; ++r) {
-      float* orow = out.data() + r * m;
-      for (int64_t i = 0; i < m; ++i) {
-        orow[i] = kernels::ActApply(act, orow[i] + biasv[i], leaky_slope);
-      }
-    }
-  } else if (act != kernels::FusedAct::kNone) {
-    for (int64_t r = 0; r < rows; ++r) {
-      float* orow = out.data() + r * m;
-      for (int64_t i = 0; i < m; ++i) {
-        orow[i] = kernels::ActApply(act, orow[i], leaky_slope);
-      }
-    }
   }
+  FloatBuffer out = FloatBuffer::Uninitialized(static_cast<size_t>(rows * m));
+  kernels::GemvBiasActRows(w.value().data(), m, n, xs.value().data(), rows,
+                           bias != nullptr ? bias->value().data() : nullptr,
+                           act, leaky_slope, out.data());
   auto wn = w.node();
   auto xn = xs.node();
   auto bn = bias != nullptr ? bias->node() : Tensor::NodePtr();
@@ -586,41 +573,35 @@ Tensor LinearRowsImpl(const char* name, const Tensor& w, const Tensor& xs,
   TensorNode* on = result.node().get();
   if (result.requires_grad()) {
     on->backward_fn = [wn, xn, bn, on, act, leaky_slope, rows, m, n]() {
-      const auto& g = on->grad;
-      const auto& y = on->value;
-      // d(pre-activation) for all rows; activation derivatives are
-      // recoverable from the outputs alone. Arena-backed within a step.
-      FloatBuffer dpre =
-          FloatBuffer::Uninitialized(static_cast<size_t>(rows * m));
-      if (act == kernels::FusedAct::kNone) {
-        std::memcpy(dpre.data(), g.data(), g.size() * sizeof(float));
-      } else {
-        for (size_t i = 0; i < g.size(); ++i) {
-          dpre[i] = g[i] * kernels::ActGradFromY(act, y[i], leaky_slope);
-        }
+      // d(pre-activation) for all rows, recovered from the outputs alone;
+      // without an activation it is the incoming gradient itself.
+      // Arena-backed within a step.
+      const float* dpre = on->grad.data();
+      FloatBuffer act_grad;
+      if (act != kernels::FusedAct::kNone) {
+        act_grad = FloatBuffer::Uninitialized(static_cast<size_t>(rows * m));
+        kernels::ActGradRows(on->grad.data(), on->value.data(), rows * m, act,
+                             leaky_slope, act_grad.data());
+        dpre = act_grad.data();
       }
       if (wn->requires_grad) {
         auto lock = internal_tensor::LockGradIfSharedLeaf(wn.get());
         wn->EnsureGrad();
-        for (int64_t r = 0; r < rows; ++r) {
-          kernels::GerAccum(dpre.data() + r * m, xn->value.data() + r * n, m,
-                            n, wn->grad.data());
-        }
+        kernels::GerRowsAccum(dpre, xn->value.data(), rows, m, n,
+                              wn->grad.data());
       }
       if (bn != nullptr && bn->requires_grad) {
         auto lock = internal_tensor::LockGradIfSharedLeaf(bn.get());
         bn->EnsureGrad();
         for (int64_t r = 0; r < rows; ++r) {
-          kernels::Axpy(1.0f, dpre.data() + r * m, bn->grad.data(), m);
+          kernels::Axpy(1.0f, dpre + r * m, bn->grad.data(), m);
         }
       }
       if (xn->requires_grad) {
         auto lock = internal_tensor::LockGradIfSharedLeaf(xn.get());
         xn->EnsureGrad();
-        for (int64_t r = 0; r < rows; ++r) {
-          kernels::GemvTAccum(wn->value.data(), m, n, dpre.data() + r * m,
-                              xn->grad.data() + r * n);
-        }
+        kernels::GemvTRowsAccum(wn->value.data(), m, n, dpre, rows,
+                                xn->grad.data());
       }
     };
   }

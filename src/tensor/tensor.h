@@ -163,7 +163,8 @@ class Tensor {
   void ZeroGrad();
 
   /// Rows recorded as touched by sparse gathers since the last ZeroGrad.
-  /// May contain duplicates.
+  /// May contain duplicates; Optimizer::Step rewrites it as the distinct
+  /// rows in ascending order, so the ZeroGrad after a step clears each once.
   const std::vector<int64_t>& touched_rows() const;
 
   std::string DebugString() const;

@@ -1,4 +1,8 @@
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -304,6 +308,77 @@ TEST(OptimizerTest, LazySparseUpdateMatchesDenseUpdateForSgd) {
   const auto& b = dense_emb.table().value();
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_FLOAT_EQ(a[i], b[i]) << "element " << i;
+  }
+}
+
+// Step dedups touched_rows with a row mark instead of a sort. Given the
+// same gradients, a touched list that is shuffled and full of duplicates
+// must update the parameters bitwise as its sorted distinct rows do, for
+// each stateful rule, with and without clip_norm (whose double sum reads
+// the rows in ascending order). A dense parameter shares the clip sum, and
+// weight decay would move any untouched row that got updated.
+TEST(OptimizerTest, ShuffledDuplicateTouchedRowsMatchSortedUnique) {
+  const int64_t rows = 40, cols = 5;
+  for (const std::string name : {"sgd", "rmsprop", "adagrad"}) {
+    for (float clip : {0.0f, 0.05f}) {
+      OptimizerOptions options;
+      options.learning_rate = 0.1f;
+      options.weight_decay = 0.01f;
+      options.clip_norm = clip;
+      Rng init(3);
+      std::vector<float> table0(rows * cols), dense0(7);
+      for (float& v : table0) v = static_cast<float>(init.NextDouble()) - 0.5f;
+      for (float& v : dense0) v = static_cast<float>(init.NextDouble()) - 0.5f;
+      Tensor table[2], dense[2];
+      std::unique_ptr<Optimizer> opt[2];
+      for (int k = 0; k < 2; ++k) {
+        table[k] = Tensor::FromVector(Shape({rows, cols}), table0, true);
+        dense[k] = Tensor::FromVector(Shape({7}), dense0, true);
+        opt[k] = MakeOptimizer(name, {table[k], dense[k]}, options).value();
+      }
+      Rng rng(11);
+      for (int step = 0; step < 3; ++step) {
+        std::vector<int64_t> distinct, shuffled;
+        for (int64_t r = 0; r < rows; ++r) {
+          if (rng.NextInt(3) != 0) continue;
+          distinct.push_back(r);
+          const int copies = 1 + static_cast<int>(rng.NextInt(3));
+          for (int c = 0; c < copies; ++c) shuffled.push_back(r);
+        }
+        for (size_t i = shuffled.size(); i > 1; --i) {
+          std::swap(shuffled[i - 1], shuffled[rng.NextInt(i)]);
+        }
+        std::vector<float> g(rows * cols, 0.0f), dg(7);
+        for (int64_t r : distinct) {
+          for (int64_t c = 0; c < cols; ++c) {
+            g[r * cols + c] = static_cast<float>(rng.NextDouble()) - 0.5f;
+          }
+        }
+        for (float& v : dg) v = static_cast<float>(rng.NextDouble()) - 0.5f;
+        for (int k = 0; k < 2; ++k) {
+          opt[k]->ZeroGrad();
+          auto* node = table[k].node().get();
+          node->EnsureGrad();
+          std::copy(g.begin(), g.end(), node->grad.begin());
+          node->touched_rows = k == 0 ? shuffled : distinct;
+          dense[k].node()->EnsureGrad();
+          std::copy(dg.begin(), dg.end(), dense[k].node()->grad.begin());
+          opt[k]->Step();
+        }
+        EXPECT_EQ(table[0].touched_rows(), distinct);
+        EXPECT_EQ(std::memcmp(table[0].value().data(), table[1].value().data(),
+                              rows * cols * sizeof(float)),
+                  0)
+            << name << " clip=" << clip << " step=" << step;
+        EXPECT_EQ(std::memcmp(dense[0].value().data(), dense[1].value().data(),
+                              7 * sizeof(float)),
+                  0)
+            << name << " clip=" << clip << " step=" << step;
+      }
+      // The ZeroGrad after a step clears every touched row.
+      opt[0]->ZeroGrad();
+      for (float v : table[0].grad()) EXPECT_EQ(v, 0.0f);
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -711,36 +712,6 @@ TEST(KernelEquivalenceTest, GemvMatchesRef) {
   }
 }
 
-TEST(KernelEquivalenceTest, GemvTAccumMatchesRef) {
-  Rng rng(42);
-  for (int64_t m : kKernelSizes) {
-    for (int64_t n : kKernelSizes) {
-      std::vector<float> w = RandomVec(m * n, rng);
-      std::vector<float> g = RandomVec(m, rng);
-      std::vector<float> want = RandomVec(n, rng);
-      std::vector<float> got = want;
-      kernels::GemvTAccumRef(w.data(), m, n, g.data(), want.data());
-      kernels::GemvTAccum(w.data(), m, n, g.data(), got.data());
-      ExpectNearRel(got, want);
-    }
-  }
-}
-
-TEST(KernelEquivalenceTest, GerAccumMatchesRef) {
-  Rng rng(43);
-  for (int64_t m : kKernelSizes) {
-    for (int64_t n : kKernelSizes) {
-      std::vector<float> g = RandomVec(m, rng);
-      std::vector<float> x = RandomVec(n, rng);
-      std::vector<float> want = RandomVec(m * n, rng);
-      std::vector<float> got = want;
-      kernels::GerAccumRef(g.data(), x.data(), m, n, want.data());
-      kernels::GerAccum(g.data(), x.data(), m, n, got.data());
-      ExpectNearRel(got, want);
-    }
-  }
-}
-
 TEST(KernelEquivalenceTest, GemmMatchesRef) {
   Rng rng(44);
   for (int64_t m : kKernelSizes) {
@@ -787,21 +758,213 @@ TEST(KernelEquivalenceTest, GemmTNAccumMatchesRef) {
   }
 }
 
-TEST(KernelEquivalenceTest, GemvRowsBitwiseEqualsGemv) {
+// -- Row-batched Linear kernels vs their per-row loops ------------------------
+//
+// The contract is bitwise (memcmp), so the upstream values include what a
+// looser check would miss: ±0 gradients (the zero skip must keep -0 terms
+// out), and a row whose gradient is all zeros paired with an inf in x (with
+// the skip the inf never meets a 0; without it 0·inf would write NaN).
+
+const kernels::FusedAct kAllActs[] = {
+    kernels::FusedAct::kNone, kernels::FusedAct::kSigmoid,
+    kernels::FusedAct::kTanh, kernels::FusedAct::kRelu,
+    kernels::FusedAct::kLeakyRelu};
+
+struct RowKernelCase {
+  int64_t rows, m, n;
+  std::vector<float> w, xs, g;
+};
+
+// Every combination of rows ∈ {1, 3, 8, 9, 33}, n ∈ {1, 7, 64, 65, 128} and
+// m ∈ {1, 64}: single rows, the 4- and 8-query forward groups with and
+// without remainders, and column counts below, at and across the 8- and
+// 64-wide register tiles.
+std::vector<RowKernelCase> RowKernelCases() {
+  std::vector<RowKernelCase> cases;
   Rng rng(47);
-  const int64_t m = 5, n = 17, rows = 4;
-  std::vector<float> w = RandomVec(m * n, rng);
-  std::vector<float> xs = RandomVec(rows * n, rng);
-  std::vector<float> batched(static_cast<size_t>(rows * m));
-  kernels::GemvRows(w.data(), m, n, xs.data(), rows, batched.data());
-  for (int64_t r = 0; r < rows; ++r) {
-    std::vector<float> single(static_cast<size_t>(m));
-    kernels::Gemv(w.data(), m, n, xs.data() + r * n, single.data());
-    for (int64_t i = 0; i < m; ++i) {
-      EXPECT_EQ(batched[static_cast<size_t>(r * m + i)],
-                single[static_cast<size_t>(i)])
-          << r << "," << i;
+  for (int64_t rows : {1, 3, 8, 9, 33}) {
+    for (int64_t m : {1, 64}) {
+      for (int64_t n : {1, 7, 64, 65, 128}) {
+        RowKernelCase c{rows, m, n, RandomVec(m * n, rng),
+                        RandomVec(rows * n, rng), RandomVec(rows * m, rng)};
+        for (size_t e = 0; e < c.g.size(); e += 3) c.g[e] = 0.0f;
+        for (size_t e = 1; e < c.g.size(); e += 5) c.g[e] = -0.0f;
+        // The last row of a block: inf in x, all-zero gradient.
+        if (rows > 1) {
+          const int64_t r = rows - 1;
+          c.xs[static_cast<size_t>(r * n + n / 2)] =
+              std::numeric_limits<float>::infinity();
+          for (int64_t i = 0; i < m; ++i) {
+            c.g[static_cast<size_t>(r * m + i)] = i % 2 == 0 ? 0.0f : -0.0f;
+          }
+        }
+        cases.push_back(std::move(c));
+      }
     }
+  }
+  return cases;
+}
+
+bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// The forward: one GemvMulti pass plus the bias/activation sweep equals a
+// Gemv and an ActApply per row, for every activation, with and without a
+// bias. Rows hold no inf here: the forward has no skip to test.
+TEST(KernelEquivalenceTest, GemvBiasActRowsBitwiseEqualsGemv) {
+  Rng rng(54);
+  for (const RowKernelCase& c : RowKernelCases()) {
+    const std::vector<float> xs = RandomVec(c.rows * c.n, rng);
+    const std::vector<float> bias = RandomVec(c.m, rng);
+    for (kernels::FusedAct act : kAllActs) {
+      for (const float* b : {bias.data(), static_cast<const float*>(nullptr)}) {
+        std::vector<float> want(static_cast<size_t>(c.rows * c.m));
+        std::vector<float> got(want.size());
+        kernels::GemvBiasActRowsRef(c.w.data(), c.m, c.n, xs.data(), c.rows, b,
+                                    act, kernels::kLeakySlope, want.data());
+        kernels::GemvBiasActRows(c.w.data(), c.m, c.n, xs.data(), c.rows, b,
+                                 act, kernels::kLeakySlope, got.data());
+        EXPECT_TRUE(BitwiseEqual(got, want))
+            << "rows=" << c.rows << " m=" << c.m << " n=" << c.n
+            << " act=" << static_cast<int>(act) << " bias=" << (b != nullptr);
+      }
+    }
+  }
+}
+
+// dW += Σ_r g_rᵀ x_r, through the dispatched kernel (AVX2 where the CPU has
+// it) and the portable body, each from a non-zero starting gradient.
+TEST(KernelEquivalenceTest, GerRowsAccumBitwiseEqualsPerRowLoop) {
+  Rng rng(43);
+  for (const RowKernelCase& c : RowKernelCases()) {
+    const std::vector<float> start = RandomVec(c.m * c.n, rng);
+    std::vector<float> want = start;
+    kernels::GerRowsAccumRef(c.g.data(), c.xs.data(), c.rows, c.m, c.n,
+                             want.data());
+    std::vector<float> dispatched = start;
+    kernels::GerRowsAccum(c.g.data(), c.xs.data(), c.rows, c.m, c.n,
+                          dispatched.data());
+    std::vector<float> portable = start;
+    kernels::GerRowsAccumPortable(c.g.data(), c.xs.data(), c.rows, c.m, c.n,
+                                  portable.data());
+    EXPECT_TRUE(BitwiseEqual(dispatched, want))
+        << "rows=" << c.rows << " m=" << c.m << " n=" << c.n;
+    EXPECT_TRUE(BitwiseEqual(portable, want))
+        << "rows=" << c.rows << " m=" << c.m << " n=" << c.n;
+    for (float v : want) EXPECT_FALSE(std::isnan(v));
+  }
+}
+
+// dX[r] += Σ_i g[r,i] W_i, both dispatch paths.
+TEST(KernelEquivalenceTest, GemvTRowsAccumBitwiseEqualsPerRowLoop) {
+  Rng rng(42);
+  for (const RowKernelCase& c : RowKernelCases()) {
+    // W carries the inf here, so the all-zero gradient row must skip it.
+    std::vector<float> w = c.w;
+    w[static_cast<size_t>(c.m * c.n / 2)] =
+        std::numeric_limits<float>::infinity();
+    std::vector<float> g = c.g;
+    for (int64_t r = 0; r < c.rows; ++r) {
+      g[static_cast<size_t>(r * c.m + (c.m * c.n / 2) / c.n)] = 0.0f;
+    }
+    const std::vector<float> start = RandomVec(c.rows * c.n, rng);
+    std::vector<float> want = start;
+    kernels::GemvTRowsAccumRef(w.data(), c.m, c.n, g.data(), c.rows,
+                               want.data());
+    std::vector<float> dispatched = start;
+    kernels::GemvTRowsAccum(w.data(), c.m, c.n, g.data(), c.rows,
+                            dispatched.data());
+    std::vector<float> portable = start;
+    kernels::GemvTRowsAccumPortable(w.data(), c.m, c.n, g.data(), c.rows,
+                                    portable.data());
+    EXPECT_TRUE(BitwiseEqual(dispatched, want))
+        << "rows=" << c.rows << " m=" << c.m << " n=" << c.n;
+    EXPECT_TRUE(BitwiseEqual(portable, want))
+        << "rows=" << c.rows << " m=" << c.m << " n=" << c.n;
+    for (float v : want) EXPECT_FALSE(std::isnan(v));
+  }
+}
+
+// dpre = g · act'(y) with the derivative read off the output.
+TEST(KernelEquivalenceTest, ActGradRowsMatchesOutputFormulas) {
+  Rng rng(55);
+  const int64_t count = 37;
+  std::vector<float> g = RandomVec(count, rng);
+  g[3] = 0.0f;
+  g[4] = -0.0f;
+  std::vector<float> y = RandomVec(count, rng);
+  y[5] = 0.0f;
+  const float s = kernels::kLeakySlope;
+  for (kernels::FusedAct act : kAllActs) {
+    std::vector<float> got(static_cast<size_t>(count));
+    kernels::ActGradRows(g.data(), y.data(), count, act, s, got.data());
+    for (size_t e = 0; e < got.size(); ++e) {
+      const float v = y[e];
+      float d = 1.0f;
+      if (act == kernels::FusedAct::kSigmoid) d = v * (1.0f - v);
+      if (act == kernels::FusedAct::kTanh) d = 1.0f - v * v;
+      if (act == kernels::FusedAct::kRelu) d = v > 0.0f ? 1.0f : 0.0f;
+      if (act == kernels::FusedAct::kLeakyRelu) d = v > 0.0f ? 1.0f : s;
+      const float want = g[e] * d;
+      EXPECT_EQ(std::memcmp(&got[e], &want, sizeof(float)), 0)
+          << "act=" << static_cast<int>(act) << " e=" << e;
+    }
+  }
+}
+
+// The whole op, forward and all three gradients, against a loop of
+// single-row LinearAct nodes whose backward passes run in ascending row
+// order — the order in which the batched kernels add rows into dW and db.
+// The upstream gradient reaches each output through Dot with a fixed vector
+// that holds zeros, so the zero skips are exercised too.
+TEST(FusedOpsTest, LinearActRowsGradientsBitwiseEqualSingleRows) {
+  const int64_t rows = 9, m = 5, n = 11;
+  for (kernels::FusedAct act : kAllActs) {
+    Rng rng(15);
+    const std::vector<float> w0 = RandomVec(m * n, rng);
+    const std::vector<float> b0 = RandomVec(m, rng);
+    const std::vector<float> xs0 = RandomVec(rows * n, rng);
+    std::vector<float> up = RandomVec(rows * m, rng);
+    for (size_t e = 0; e < up.size(); e += 4) up[e] = 0.0f;
+
+    Tensor w = Tensor::FromVector(Shape({m, n}), w0, /*requires_grad=*/true);
+    Tensor b = Tensor::FromVector(Shape({m}), b0, /*requires_grad=*/true);
+    Tensor xs =
+        Tensor::FromVector(Shape({rows, n}), xs0, /*requires_grad=*/true);
+    Tensor batched = LinearActRows(w, xs, b, act);
+    Backward(Dot(Reshape(batched, Shape({rows * m})),
+                 Tensor::FromVector(Shape({rows * m}), up)));
+
+    Tensor ws = Tensor::FromVector(Shape({m, n}), w0, /*requires_grad=*/true);
+    Tensor bs = Tensor::FromVector(Shape({m}), b0, /*requires_grad=*/true);
+    for (int64_t r = 0; r < rows; ++r) {
+      Tensor x = Tensor::FromVector(
+          Shape({n}),
+          std::vector<float>(xs0.begin() + r * n, xs0.begin() + (r + 1) * n),
+          /*requires_grad=*/true);
+      Tensor y = LinearAct(ws, x, bs, act);
+      const std::vector<float> up_r(up.begin() + r * m,
+                                    up.begin() + (r + 1) * m);
+      Backward(Dot(y, Tensor::FromVector(Shape({m}), up_r)));
+      const auto at = static_cast<size_t>(r);
+      EXPECT_EQ(std::memcmp(batched.value().data() + at * m, y.value().data(),
+                            sizeof(float) * m),
+                0)
+          << "forward act=" << static_cast<int>(act) << " r=" << r;
+      EXPECT_EQ(std::memcmp(xs.grad().data() + at * n, x.grad().data(),
+                            sizeof(float) * n),
+                0)
+          << "dX act=" << static_cast<int>(act) << " r=" << r;
+    }
+    EXPECT_EQ(std::memcmp(w.grad().data(), ws.grad().data(),
+                          sizeof(float) * m * n),
+              0)
+        << "dW act=" << static_cast<int>(act);
+    EXPECT_EQ(std::memcmp(b.grad().data(), bs.grad().data(), sizeof(float) * m),
+              0)
+        << "db act=" << static_cast<int>(act);
   }
 }
 

@@ -18,7 +18,8 @@
 #   3. ASan+UBSan build (-DSCENEREC_SANITIZE=address,undefined) + the tensor
 #      and op tests, which cover the arena allocator (manual ASan poisoning
 #      marks reset and never-allocated arena bytes as redzones) and every
-#      vectorized kernel's pointer arithmetic
+#      vectorized kernel's pointer arithmetic, and the nn tests (the
+#      optimizer's row mark is indexed by row id)
 #   4. (opt-in: SCENEREC_PERF=1) benchmark regression gate — re-measures the
 #      benchmark suites and fails via tools/bench_diff --check when any
 #      benchmark regressed past SCENEREC_PERF_THRESHOLD percent (default 20;
@@ -103,11 +104,16 @@ build-tsan/tools/scenerec_stat --selftest
 
 echo "==> stage 3: ASan+UBSan build"
 configure build-asan -DSCENEREC_SANITIZE=address,undefined
-cmake --build build-asan --target tensor_test ops_test telemetry_test train_test trace_test scoring_test snapshot_test retrieval_test serve_test common_test repr_cache_test scenerec_serve scenerec_stat
+cmake --build build-asan --target tensor_test ops_test nn_test telemetry_test train_test trace_test scoring_test snapshot_test retrieval_test serve_test common_test repr_cache_test scenerec_serve scenerec_stat
 
 echo "==> stage 3: tensor/op tests under ASan+UBSan"
 build-asan/tests/tensor_test
 build-asan/tests/ops_test
+
+echo "==> stage 3: nn/optimizer tests under ASan+UBSan"
+# Optimizer::Step dedups touched rows through a mark vector indexed by row
+# id; an id past the table would be a heap overflow here.
+build-asan/tests/nn_test
 
 echo "==> stage 3: telemetry + trainer divergence tests under ASan+UBSan"
 # Thread-exit slab retirement and the NaN-injection abort paths both free /
